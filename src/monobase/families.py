@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .discriminant import QuadrinomialSpec
 from .index_criteria import MonogenicityVerdict
 from .integer_core import DEFAULT_EFFORT, EffortConfig, squarefree_status
-from .report import AnalysisReport, IndexStatus, analyze, irreducibility_check
+from .report import AnalysisReport, IndexStatus, analyze_with_status, irreducibility_check
 
 _TEMPLATE_RULES = {
     "pc": lambda c: (c, 2 * c, c),
@@ -97,7 +97,7 @@ def search_family(
         if irr.status == "unverified":
             out.append(SearchEntry(c, True, "irreducibility unverified"))
             continue
-        report = analyze(spec, effort)
+        report = analyze_with_status(spec, irr, effort)
         out.append(
             SearchEntry(
                 c,

@@ -8,7 +8,8 @@ Resultants over Z use the subresultant polynomial remainder sequence, which
 keeps every intermediate value an exact integer.  Factorization over F_p is
 the classical squarefree / distinct-degree / equal-degree pipeline with
 Cantor-Zassenhaus splitting; the only randomness is the splitting element,
-drawn from a generator seeded by (seed, p, coefficients).
+drawn from a generator seeded by (seed, p, coefficients).  The factor degrees
+alone (degree_pattern_mod_p) need no split and no randomness.
 """
 
 from __future__ import annotations
@@ -569,3 +570,19 @@ def factor_mod_p(f: ZPoly, p: int, *, seed: int = DEFAULT_SEED) -> FpPolyFactori
                 found.append((FpPoly(p, tuple(irr)), mult))
     found.sort(key=lambda ge: (ge[0].degree, ge[0].coeffs))
     return FpPolyFactorization(p, unit, tuple(found))
+
+
+def degree_pattern_mod_p(f: ZPoly, p: int) -> list[int]:
+    """Sorted degrees of the irreducible factors of f mod p, with multiplicity,
+    from the squarefree and distinct-degree stages alone: a stratum of degree k
+    and factor degree d holds k/d factors.  [deg f] iff f is irreducible mod p.
+    Requires p prime and p not dividing lc(f), as factor_mod_p does."""
+    if not is_prime(p) or f.is_zero or f.leading % p == 0:
+        raise ValueError(f"p = {p} must be a prime not dividing lc(f)")
+    if f.degree == 0:
+        return []
+    pattern: list[int] = []
+    for part, mult in _fp_sqf_list(_fp_monic([c % p for c in f.coeffs], p), p):
+        for stratum, d in _fp_ddf(part, p):
+            pattern += [d] * ((len(stratum) - 1) // d * mult)
+    return sorted(pattern)

@@ -17,14 +17,14 @@ Irreducibility certificates, strongest first: a rational root refutes; the
 Eisenstein or single-segment Newton polygon conditions certify; an
 irreducible reduction mod p certifies; and factor degree patterns that admit
 no proper subset sum across several primes certify (optionally combined with
-the complete absence of rational roots to excuse degrees 1 and n-1).  Degree
-patterns alone can never prove reducibility, so that direction is never
-claimed from them.
+the complete absence of rational roots to excuse degrees 1 and n-1).  Both
+mod-p certificates come from one deterministic squarefree plus distinct-degree
+pass per prime (degree_pattern_mod_p; the reduction is irreducible iff the
+pattern is [n]).  Degree patterns alone can never prove reducibility.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -38,7 +38,7 @@ from .integer_core import (
     factor_integer,
     p_valuation,
 )
-from .polynomials import ZPoly, _fp_gcd, _fp_pow_mod, _fp_sub, factor_mod_p
+from .polynomials import ZPoly, degree_pattern_mod_p
 
 _MAX_ROOT_CANDIDATES = 4096
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -105,31 +105,6 @@ def _newton_polygon_certifies(f: ZPoly, p: int, k: int) -> bool:
     return True
 
 
-def _rabin_irreducible_mod_p(f: ZPoly, p: int) -> bool:
-    """Rabin's test: monic f of degree n is irreducible mod p iff
-    x**(p**n) = x mod (f, p) and gcd(x**(p**(n/q)) - x, f) = 1 for prime q | n."""
-    n = f.degree
-    fbar = [c % p for c in f.coeffs]
-    if fbar[-1] == 0:
-        return False
-    x = [0, 1]
-    q_factors = {q for q, _ in factor_integer(n).factors}
-    for q in q_factors:
-        h = _fp_pow_mod(x, p ** (n // q), fbar, p)
-        diff = _fp_sub(h, x, p)
-        if not diff or _fp_gcd(diff, fbar, p) != [1]:
-            return False
-    h = _fp_pow_mod(x, p**n, fbar, p)
-    return _fp_sub(h, x, p) == []
-
-
-def _degree_pattern(f: ZPoly, p: int, seed: int) -> list[int]:
-    fac = factor_mod_p(f, p, seed=seed)
-    return sorted(
-        itertools.chain.from_iterable([g.degree] * e for g, e in fac.factors)
-    )
-
-
 def _subset_sums(degrees: list[int]) -> set[int]:
     sums = {0}
     for d in degrees:
@@ -183,11 +158,9 @@ def irreducibility_check(
     allowed = set(range(1, n))
     used: list[int] = []
     for p in _PATTERN_PRIMES:
-        if f.leading % p == 0:
-            continue
-        if _rabin_irreducible_mod_p(f, p):
+        pattern = degree_pattern_mod_p(f, p)
+        if pattern == [n]:
             return IrreducibilityStatus("irreducible", "irreducible_mod_p", {"prime": p})
-        pattern = _degree_pattern(f, p, effort.rng_seed)
         allowed &= _subset_sums(pattern)
         used.append(p)
         if not allowed:
@@ -297,8 +270,14 @@ def analyze(
     spec: QuadrinomialSpec, effort: EffortConfig = DEFAULT_EFFORT
 ) -> AnalysisReport:
     """Full monogenicity analysis of the field defined by spec's polynomial."""
-    f = spec.polynomial()
-    irr = irreducibility_check(f, effort)
+    return analyze_with_status(spec, irreducibility_check(spec.polynomial(), effort), effort)
+
+
+def analyze_with_status(
+    spec: QuadrinomialSpec, irr: IrreducibilityStatus, effort: EffortConfig = DEFAULT_EFFORT
+) -> AnalysisReport:
+    """analyze() for a spec whose irreducibility_check result irr is already
+    known, so a caller that ran the check does not pay for it twice."""
     if irr.status == "reducible":
         raise ReduciblePolynomialError(irr)
     caveats: list[str] = []
@@ -343,9 +322,9 @@ def analyze(
         index = IndexStatus("unknown", None)
 
     abs_dk = dk_formula(verdicts) if fac.is_complete else None
-    if abs_dk is not None and exact:
-        # Consistency: disc f = index**2 * disc K up to the recorded valuations.
-        assert abs(disc) == index_value**2 * abs_dk.value, "valuation bookkeeping broke"
+    # Consistency: disc f = index**2 * disc K up to the recorded valuations.
+    if abs_dk is not None and exact and abs(disc) != index_value**2 * abs_dk.value:
+        raise ArithmeticError("valuation bookkeeping broke: |disc f| != index**2 * |disc K|")
     return AnalysisReport(
         spec=spec,
         irreducibility=irr,

@@ -9,6 +9,7 @@ from monobase import (
     generate_spec,
     search_family,
 )
+from monobase import families, report
 from monobase.families import binomial_family_verdicts
 from monobase.integer_core import EffortConfig
 
@@ -62,6 +63,21 @@ def test_search_family_skip_reasons():
     assert by_c[5].monogenic == "yes"
     assert by_c[5].index.kind == "exact" and by_c[5].index.value == 1
     assert by_c[5].report is not None
+
+
+def test_search_family_checks_irreducibility_once_per_spec(monkeypatch):
+    calls = []
+    real = report.irreducibility_check
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(report, "irreducibility_check", counted)
+    monkeypatch.setattr(families, "irreducibility_check", counted)
+    entries = search_family(FamilyTemplate(5), [0, 12, 5, 7, -3])
+    assert [e.skipped for e in entries] == [True, True, False, False, False]
+    assert len(calls) == 3
 
 
 def test_search_family_undecided_squarefreeness():

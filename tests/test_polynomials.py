@@ -1,5 +1,6 @@
 """Polynomial arithmetic over Z and F_p, resultants, mod-p factorization."""
 
+import itertools
 import random
 from math import gcd
 
@@ -16,6 +17,8 @@ from monobase import (
     is_prime,
     resultant,
 )
+from monobase.polynomials import degree_pattern_mod_p
+from monobase.report import _PATTERN_PRIMES
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7)
 
@@ -194,3 +197,54 @@ def test_factor_mod_p_input_validation():
     with pytest.raises(ValueError):
         factor_mod_p(ZPoly((1, 3)), 3)  # leading coefficient vanishes
     assert is_prime(13)
+
+
+def _factor_degrees(f: ZPoly, p: int) -> list[int]:
+    fac = factor_mod_p(f, p)
+    return sorted(d for g, e in fac.factors for d in [g.degree] * e)
+
+
+def test_degree_pattern_matches_factor_mod_p():
+    rng = random.Random(2303)
+    for _ in range(40):
+        deg = rng.randint(2, 14)
+        f = ZPoly(tuple(rng.randint(-30, 30) for _ in range(deg)) + (1,))
+        for p in _PATTERN_PRIMES:
+            assert degree_pattern_mod_p(f, p) == _factor_degrees(f, p), (f.coeffs, p)
+
+
+def test_degree_pattern_on_pth_powers_and_repeated_factors():
+    rng = random.Random(3138)
+    for p in _PATTERN_PRIMES:
+        for _ in range(3):
+            g = ZPoly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 2))) + (1,))
+            h = ZPoly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(1, 3))) + (1,))
+            # g(x**p): each coefficient followed by p - 1 zeros
+            g_of_xp = ZPoly(sum(((c,) + (0,) * (p - 1) for c in g.coeffs), ()))
+            for f in (g_of_xp, g_of_xp * h, g * g * h, (g**3) * (h**2)):
+                assert degree_pattern_mod_p(f, p) == _factor_degrees(f, p), (f.coeffs, p)
+    # (x + 1)**4 mod 2 and x**6 + 1 = (x**2 + 1)**3 mod 3
+    assert degree_pattern_mod_p(ZPoly((1, 0, 2, 0, 1)), 2) == [1, 1, 1, 1]
+    assert degree_pattern_mod_p(ZPoly((1, 0, 0, 0, 0, 0, 1)), 3) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_degree_pattern_detects_exactly_the_irreducibles(p):
+    # Every monic f of degree 1..6 over F_p: the pattern is [n] exactly when
+    # no monic polynomial of degree <= n/2 divides f.
+    for n in range(1, 7):
+        for lower in itertools.product(range(p), repeat=n):
+            f = ZPoly(lower + (1,))
+            pattern = degree_pattern_mod_p(f, p)
+            assert sum(pattern) == n
+            assert (pattern == [n]) == _is_irreducible_brute(f.reduce_mod(p)), (lower, p)
+
+
+def test_degree_pattern_input_validation():
+    with pytest.raises(ValueError):
+        degree_pattern_mod_p(ZPoly((1, 1)), 6)  # composite modulus
+    with pytest.raises(ValueError):
+        degree_pattern_mod_p(ZPoly((1, 3)), 3)  # leading coefficient vanishes
+    assert degree_pattern_mod_p(ZPoly((2, 0, 3)), 5) == [1, 1]  # 3(x - 1)(x + 1)
+    assert degree_pattern_mod_p(ZPoly((4, 0, 3)), 5) == [2]  # 3(x**2 + 3)
+    assert degree_pattern_mod_p(ZPoly((4,)), 5) == []

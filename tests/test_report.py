@@ -13,6 +13,7 @@ from monobase import (
     cross_check_with_dedekind,
     irreducibility_check,
 )
+from monobase import report
 from monobase.integer_core import EffortConfig, IntFactorization
 from monobase.report import PrimeVerdict, dk_formula
 
@@ -115,6 +116,19 @@ def test_analyze_unverified_irreducibility_caveat():
     rep = analyze(QuadrinomialSpec(6, -4, 36, -81))
     assert rep.irreducibility.status == "unverified"
     assert any(c.startswith("irreducibility unverified") for c in rep.caveats)
+
+
+def test_analyze_raises_when_valuation_bookkeeping_breaks(monkeypatch):
+    # Drop one prime from |disc K|: index**2 * |disc K| no longer equals
+    # |disc f|, and the check must raise whatever the interpreter's -O flag.
+    def lossy(verdicts):
+        return IntFactorization(sign=1, factors=dk_formula(verdicts).factors[1:], cofactor=1)
+
+    spec = QuadrinomialSpec(7, 7, 14, 7)
+    assert analyze(spec).index.kind == "exact"
+    monkeypatch.setattr(report, "dk_formula", lossy)
+    with pytest.raises(ArithmeticError, match="bookkeeping"):
+        analyze(spec)
 
 
 def test_analyze_incomplete_factorization_caveat():
