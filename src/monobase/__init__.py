@@ -46,7 +46,6 @@ from .polynomials import (
     ZPoly,
     discriminant_via_resultant,
     factor_mod_p,
-    gcd_mod_p,
     resultant,
 )
 from .report import (
@@ -101,7 +100,6 @@ __all__ = [
     "double_root_divisibility_test",
     "factor_integer",
     "factor_mod_p",
-    "gcd_mod_p",
     "generate_spec",
     "irreducibility_check",
     "is_prime",

@@ -19,7 +19,7 @@ import sys
 from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec
 from .families import FamilyTemplate, search_family
-from .index_criteria import binomial_integral_basis, shared_support_fastpath
+from .index_criteria import binomial_integral_basis
 from .integer_core import DEFAULT_SEED, EffortConfig, is_prime
 from .polynomials import ZPoly
 from .report import ReduciblePolynomialError, analyze, cross_check_with_dedekind
@@ -153,9 +153,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if report.abs_disc_field is not None:
         parts = " * ".join(f"{p}^{e}" for p, e in report.abs_disc_field.factors) or "1"
         lines.append(f"|disc K| = {report.abs_disc_field.value} = {parts}")
-    fast = shared_support_fastpath(spec, effort)
-    if fast is not None:
-        lines.append(f"shared-support fast path: {fast.status}")
     doc = _document("analyze", effort, report.to_dict(), list(report.caveats))
     _emit(doc, args.json, lines)
     return EXIT_UNKNOWN if report.monogenic == "unknown" else EXIT_DECIDED
@@ -369,10 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .discriminant import QuadrinomialSpec
-from .index_criteria import MonogenicityVerdict
 from .integer_core import DEFAULT_EFFORT, EffortConfig, squarefree_status
 from .report import AnalysisReport, IndexStatus, analyze_with_status, irreducibility_check
 
@@ -109,14 +108,3 @@ def search_family(
             )
         )
     return out
-
-
-def binomial_family_verdicts(
-    n: int, c_values, effort: EffortConfig = DEFAULT_EFFORT
-) -> list[tuple[int, MonogenicityVerdict]]:
-    """binomial_integral_basis over a parameter range, skipping c = 0."""
-    from .index_criteria import binomial_integral_basis
-
-    return [
-        (c, binomial_integral_basis(n, c, effort)) for c in c_values if c != 0
-    ]

@@ -10,6 +10,10 @@ the classical squarefree / distinct-degree / equal-degree pipeline with
 Cantor-Zassenhaus splitting; the only randomness is the splitting element,
 drawn from a generator seeded by (seed, p, coefficients).  The factor degrees
 alone (degree_pattern_mod_p) need no split and no randomness.
+
+All arithmetic in F_p[x] lives in the _fp_* helpers on raw coefficient lists.
+FpPoly is only a result type: the factors and reductions that factor_mod_p
+and the Dedekind witnesses report, with a divisibility test.
 """
 
 from __future__ import annotations
@@ -39,18 +43,6 @@ class ZPoly:
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "ZPoly":
-        return cls(tuple(int(c) for c in coeffs))
-
-    @classmethod
-    def zero(cls) -> "ZPoly":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "ZPoly":
-        return cls((1,))
 
     @classmethod
     def monomial(cls, k: int, c: int = 1) -> "ZPoly":
@@ -116,7 +108,7 @@ class ZPoly:
     def __pow__(self, e: int) -> "ZPoly":
         if e < 0:
             raise ValueError("negative polynomial power")
-        result = ZPoly.one()
+        result = ZPoly((1,))
         base = self
         while e:
             if e & 1:
@@ -125,17 +117,8 @@ class ZPoly:
             e >>= 1
         return result
 
-    def scale(self, k: int) -> "ZPoly":
-        return ZPoly(tuple(k * c for c in self.coeffs))
-
     def derivative(self) -> "ZPoly":
         return ZPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     def reduce_mod(self, p: int) -> "FpPoly":
         return FpPoly.from_int_coeffs(self.coeffs, p)
@@ -388,56 +371,21 @@ class FpPoly:
         return not self.coeffs
 
     @property
-    def is_one(self) -> bool:
-        return self.coeffs == (1,)
-
-    @property
     def leading(self) -> int:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def _check(self, other: "FpPoly") -> None:
-        if self.p != other.p:
-            raise ValueError("mixed moduli")
-
-    def __add__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        return FpPoly(self.p, tuple(_fp_add(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def __sub__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        return FpPoly(self.p, tuple(_fp_sub(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def __mul__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        return FpPoly(self.p, tuple(_fp_mul(list(self.coeffs), list(other.coeffs), self.p)))
-
-    def __mod__(self, other: "FpPoly") -> "FpPoly":
-        self._check(other)
-        return FpPoly(self.p, tuple(_fp_rem(list(self.coeffs), list(other.coeffs), self.p)))
-
     def divides(self, other: "FpPoly") -> bool:
         """True iff self divides other in F_p[x]."""
-        self._check(other)
+        if self.p != other.p:
+            raise ValueError("mixed moduli")
         if self.is_zero:
             return other.is_zero
         return not _fp_rem(list(other.coeffs), list(self.coeffs), self.p)
 
-    def monic(self) -> "FpPoly":
-        return FpPoly(self.p, tuple(_fp_monic(list(self.coeffs), self.p)))
-
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
-
-
-def gcd_mod_p(f: FpPoly, g: FpPoly) -> FpPoly:
-    """Monic gcd in F_p[x]; gcd(0, g) = monic g.  Rejects gcd(0, 0)."""
-    if f.p != g.p:
-        raise ValueError("mixed moduli")
-    if f.is_zero and g.is_zero:
-        raise ValueError("gcd(0, 0) is undefined")
-    return FpPoly(f.p, tuple(_fp_gcd(list(f.coeffs), list(g.coeffs), f.p)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +396,7 @@ def _fp_sqf_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
     """Squarefree decomposition of monic f, characteristic-p aware."""
     factors: list[tuple[list[int], int]] = []
     mult = 1
-    while True:
+    while len(f) > 1:
         d = _fp_deriv(f, p)
         if d:
             g = _fp_gcd(f, d, p)
@@ -462,13 +410,12 @@ def _fp_sqf_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
                 g = _fp_quo(g, gh, p)
                 h = gh
                 i += 1
-            if g == [1]:
-                return factors
             f = g
-        # Here f has zero derivative: f = w(x**p), and w is its p-th root
-        # because Frobenius fixes the coefficients.
+        # Here f is 1 or has zero derivative: f = w(x**p), and w is its p-th
+        # root because Frobenius fixes the coefficients.
         f = f[::p]
         mult *= p
+    return factors
 
 
 def _fp_ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
@@ -545,23 +492,23 @@ class FpPolyFactorization:
         }
 
 
+def _monic_reduction(f: ZPoly, p: int) -> tuple[int, list[int]]:
+    """(lc(f) mod p, monic reduction of f mod p), for p prime not dividing lc(f)."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if f.is_zero or f.leading % p == 0:
+        raise ValueError("leading coefficient vanishes mod p")
+    fbar = [c % p for c in f.coeffs]
+    return fbar[-1], _fp_monic(fbar, p)
+
+
 def factor_mod_p(f: ZPoly, p: int, *, seed: int = DEFAULT_SEED) -> FpPolyFactorization:
     """Full factorization of f mod p into monic irreducibles.
 
     Requires p prime and p not dividing lc(f).  Deterministic for a fixed
     seed: the Cantor-Zassenhaus generator is keyed on (seed, p, coefficients).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if f.is_zero or f.leading % p == 0:
-        raise ValueError("leading coefficient vanishes mod p")
-    fbar = [c % p for c in f.coeffs]
-    while fbar and fbar[-1] == 0:
-        fbar.pop()
-    unit = fbar[-1]
-    fbar = _fp_monic(fbar, p)
-    if len(fbar) == 1:
-        return FpPolyFactorization(p, unit, ())
+    unit, fbar = _monic_reduction(f, p)
     rng = random.Random(f"edf:{seed}:{p}:{f.coeffs}")
     found: list[tuple[FpPoly, int]] = []
     for part, mult in _fp_sqf_list(fbar, p):
@@ -577,12 +524,8 @@ def degree_pattern_mod_p(f: ZPoly, p: int) -> list[int]:
     from the squarefree and distinct-degree stages alone: a stratum of degree k
     and factor degree d holds k/d factors.  [deg f] iff f is irreducible mod p.
     Requires p prime and p not dividing lc(f), as factor_mod_p does."""
-    if not is_prime(p) or f.is_zero or f.leading % p == 0:
-        raise ValueError(f"p = {p} must be a prime not dividing lc(f)")
-    if f.degree == 0:
-        return []
     pattern: list[int] = []
-    for part, mult in _fp_sqf_list(_fp_monic([c % p for c in f.coeffs], p), p):
+    for part, mult in _fp_sqf_list(_monic_reduction(f, p)[1], p):
         for stratum, d in _fp_ddf(part, p):
             pattern += [d] * ((len(stratum) - 1) // d * mult)
     return sorted(pattern)

@@ -2,11 +2,17 @@
 
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from monobase import integer_core
 from monobase.cli import CliError, main, parse_poly
+from monobase.discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from monobase.polynomials import ZPoly
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "analyze_golden.json"
 
 
 def run(capsys, *argv):
@@ -94,6 +100,44 @@ def test_analyze_template_form(capsys):
         capsys, "analyze", "--n", "7", "--template", "pc", "--c", "5", "--a", "5"
     )
     assert code == 1 and "conflicts" in err
+
+
+def test_analyze_factors_the_discriminant_once(capsys, monkeypatch):
+    disc = quadrinomial_discriminant(QuadrinomialSpec(7, 5, 10, 5))
+    original = integer_core.factor_integer
+    calls = []
+
+    def counting(n, *args, **kwargs):
+        if n == disc:
+            calls.append(n)
+        return original(n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monobase") and getattr(module, "factor_integer", None) is original:
+            monkeypatch.setattr(module, "factor_integer", counting)
+    code, out, _ = run(capsys, "analyze", "--n", "7", "--template", "pc", "--c", "5")
+    assert code == 0 and "monogenic: yes" in out
+    assert len(calls) == 1
+
+    # The JSON document is the same as before: its result is the golden
+    # corpus entry for x^7 + 5(x + 1)^2.
+    with open(GOLDEN, encoding="utf-8") as fh:
+        docs = [json.loads(line) for line in fh]
+    (report,) = [d["report"] for d in docs if d["kind"] == "trio" and d["c"] == 5]
+    expected = {
+        "schema_version": 1,
+        "command": "analyze",
+        "config": {
+            "seed": 1729,
+            "trial_division_bound": 100000,
+            "rho_iteration_budget": 1000000,
+        },
+        "warnings": [],
+        "result": report,
+    }
+    code, out, _ = run(capsys, "analyze", "--n", "7", "--template", "pc", "--c", "5", "--json")
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_analyze_unknown_exit_code(capsys):

@@ -10,7 +10,6 @@ from monobase import (
     search_family,
 )
 from monobase import families, report
-from monobase.families import binomial_family_verdicts
 from monobase.integer_core import EffortConfig
 
 
@@ -105,15 +104,3 @@ def test_search_family_degree_five_matches_sensitivity_polynomial():
         if e.skipped:
             assert e.reason is not None
         assert e.to_dict()["c"] == e.c
-
-
-def test_binomial_family_verdicts_sweep():
-    results = binomial_family_verdicts(5, range(-3, 4))
-    assert [c for c, _ in results] == [-3, -2, -1, 1, 2, 3]
-    by_c = dict(results)
-    assert by_c[2].status == "monogenic"
-    assert by_c[3].status == "monogenic"
-    assert by_c[-2].status == "monogenic"
-    results = binomial_family_verdicts(5, [7])
-    assert results[0][1].status == "not_monogenic"
-    assert results[0][1].witness == 5

@@ -134,7 +134,8 @@ def test_every_case_tag_reached_by_sampler():
 
 
 def test_binomial_integral_basis_known_values():
-    assert binomial_integral_basis(5, 2).status == "monogenic"
+    for c in (2, 3, -2):
+        assert binomial_integral_basis(5, c).status == "monogenic", c
     v = binomial_integral_basis(5, 7)
     assert v.status == "not_monogenic" and v.witness == 5  # 25 | 7^5 - 7
     v = binomial_integral_basis(3, 10)

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import gcd
+import signal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -13,11 +13,10 @@ from monobase import (
     ZPoly,
     discriminant_via_resultant,
     factor_mod_p,
-    gcd_mod_p,
     is_prime,
     resultant,
 )
-from monobase.polynomials import degree_pattern_mod_p
+from monobase.polynomials import _content, _fp_gcd, _fp_mul, _fp_sqf_list, degree_pattern_mod_p
 from monobase.report import _PATTERN_PRIMES
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7)
@@ -44,7 +43,7 @@ def test_zpoly_ring_evaluation_homomorphism(a, b, x):
 def test_zpoly_derivative_and_content():
     f = ZPoly((4, 0, 6))  # 6x^2 + 4
     assert f.derivative().coeffs == (0, 12)
-    assert f.content() == 2
+    assert _content(list(f.coeffs)) == 2
     assert ZPoly(()).derivative().is_zero
 
 
@@ -61,7 +60,7 @@ def test_resultant_product_over_roots_convention():
     f = ZPoly((1, 2, 3))  # 3x^2 + 2x + 1
     g = ZPoly((2, -3, 1))  # (x - 1)(x - 2)
     assert resultant(f, g) == f(1) * f(2)
-    g3 = ZPoly((2, -3, 1)).scale(3)  # lc 3, same roots
+    g3 = ZPoly((6, -9, 3))  # 3(x - 1)(x - 2): lc 3, same roots
     assert resultant(f, g3) == 3**2 * f(1) * f(2)
     assert resultant(ZPoly((1, 0, 1)), ZPoly((-1, 1))) == 2  # x^2+1 at x=1
 
@@ -104,12 +103,14 @@ def test_fp_poly_reduction_and_ops():
     p = 7
     f = FpPoly.from_int_coeffs((10, -1, 14), p)
     assert f.coeffs == (3, 6)  # 14 vanishes mod 7
-    g = FpPoly(p, (1, 1))
-    assert (f + g).coeffs == (4,)  # the x terms cancel: 6 + 1 = 0 mod 7
-    assert (f * g).coeffs == (3, 2, 6)
-    assert (f - f).is_zero
+    assert f.degree == 1 and f.leading == 6 and str(f) == "6*x + 3"
+    assert FpPoly(p, (7, 14)).is_zero and FpPoly(p, ()).degree == -1
     with pytest.raises(ValueError):
-        f + FpPoly(5, (1,))
+        FpPoly(p, ()).leading
+    with pytest.raises(ValueError):
+        f.divides(FpPoly(5, (1,)))  # mixed moduli
+    with pytest.raises(ValueError):
+        FpPoly(1, (1,))
 
 
 def test_fp_poly_divides_and_mod():
@@ -118,10 +119,12 @@ def test_fp_poly_divides_and_mod():
     g = FpPoly(p, (1, 1))
     assert g.divides(f)
     assert not FpPoly(p, (2, 1)).divides(f)
-    assert (f % g).is_zero
+    zero = FpPoly(p, ())
+    assert g.divides(zero) and zero.divides(zero) and not zero.divides(f)
 
 
 def test_gcd_mod_p_matches_brute_force():
+    # _fp_gcd is the gcd the squarefree and distinct-degree stages use.
     rng = random.Random(77)
     for p in (2, 3, 5, 13):
         for _ in range(60):
@@ -129,19 +132,33 @@ def test_gcd_mod_p_matches_brute_force():
             b = FpPoly(p, tuple(rng.randrange(p) for _ in range(rng.randint(1, 6))))
             if a.is_zero and b.is_zero:
                 continue
-            g = gcd_mod_p(a, b)
-            assert g.is_zero or g.leading == 1
-            if not a.is_zero:
-                assert g.divides(a)
-            if not b.is_zero:
-                assert g.divides(b)
-            # maximality: (g * (x + 1)) should not divide both unless it does divide the gcd
-            bigger = g * FpPoly(p, (1, 1))
-            assert not (
-                (a.is_zero or bigger.divides(a)) and (b.is_zero or bigger.divides(b))
-            )
-    with pytest.raises(ValueError):
-        gcd_mod_p(FpPoly(3, ()), FpPoly(3, ()))
+            gcs = _fp_gcd(list(a.coeffs), list(b.coeffs), p)
+            g = FpPoly(p, tuple(gcs))
+            assert g.leading == 1
+            assert g.divides(a) and g.divides(b)
+            # maximality: g * (x + 1) does not divide both
+            bigger = FpPoly(p, tuple(_fp_mul(gcs, [1, 1], p)))
+            assert not (bigger.divides(a) and bigger.divides(b))
+
+
+def test_squarefree_list_of_a_constant_is_empty():
+    # A constant has zero derivative and is its own p-th root; the
+    # decomposition must stop at once rather than take roots forever.
+    def hang(signum, frame):
+        raise TimeoutError("_fp_sqf_list did not return on a constant")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for p in (2, 3, 5):
+            for k in range(1, p):
+                assert _fp_sqf_list([k], p) == []
+                fac = factor_mod_p(ZPoly((k,)), p)
+                assert (fac.unit, fac.factors) == (k, ())
+                assert degree_pattern_mod_p(ZPoly((k + p,)), p) == []
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def _is_irreducible_brute(g: FpPoly) -> bool:
