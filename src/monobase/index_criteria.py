@@ -76,14 +76,10 @@ class CaseVerdict:
         }
 
 
-def classify_prime(
-    spec: QuadrinomialSpec, p: int, discriminant: int | None = None
-) -> CaseTag:
+def classify_prime(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseTag:
     """Which case test applies to p.  Requires p >= 2 dividing disc(f)."""
     if p < 2:
         raise ValueError("p must be at least 2")
-    if discriminant is None:
-        discriminant = quadrinomial_discriminant(spec)
     if discriminant % p != 0:
         raise ValueError(f"{p} does not divide the discriminant")
     a, b, c = spec.a, spec.b, spec.c
@@ -170,9 +166,7 @@ def case_two_coprime_to_ac(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
     return CaseVerdict(CaseTag.P_IS_2_COPRIME_TO_AC, passes)
 
 
-def case_coprime_to_b(
-    spec: QuadrinomialSpec, p: int, discriminant: int | None = None
-) -> CaseVerdict:
+def case_coprime_to_b(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseVerdict:
     """p coprime to b.  Derived: p odd, coprime to a, c and n(n-2).
 
     Here p divides the index iff p**2 divides disc(f); the witness records
@@ -184,8 +178,6 @@ def case_coprime_to_b(
         raise CriterionScopeError("2 divides every admissible b")
     if (spec.n * (spec.n - 2)) % p == 0:
         raise CriterionScopeError("expected p coprime to n(n-2)")
-    if discriminant is None:
-        discriminant = quadrinomial_discriminant(spec)
     v, _ = p_valuation(discriminant, p)
     return CaseVerdict(CaseTag.P_COPRIME_TO_B, v < 2, {"vp_disc": v})
 
@@ -201,14 +193,12 @@ _CASE_DISPATCH = {
 def prime_divides_index(
     spec: QuadrinomialSpec,
     p: int,
-    discriminant: int | None = None,
+    discriminant: int,
     *,
     seed: int = DEFAULT_SEED,
 ) -> CaseVerdict:
     """Verdict for one prime p | disc(f), falling back to the Dedekind
     criterion if a derived side condition unexpectedly fails."""
-    if discriminant is None:
-        discriminant = quadrinomial_discriminant(spec)
     tag = classify_prime(spec, p, discriminant)
     try:
         if tag is CaseTag.P_COPRIME_TO_B:

@@ -190,12 +190,6 @@ class IntFactorization:
             v *= p**e
         return v
 
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def to_dict(self) -> dict:
         return {
             "sign": self.sign,
@@ -223,7 +217,6 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
             found.add(p)
             while rest % p == 0:
                 rest //= p
-    cofactor_parts: list[int] = []
     if rest > 1:
         if rest < effort.trial_division_bound**2 or is_prime(rest, seed=effort.rng_seed):
             found.add(rest)
@@ -237,12 +230,11 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
                     found.add(x)
                     continue
                 d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
-                if d is None:
-                    cofactor_parts.append(x)
-                else:
+                if d is not None:
                     stack.extend((d, x // d))
-    # Recompute exponents from n itself: keeps the cofactor coprime to every
-    # listed prime even when rho produced overlapping composite splits.
+    # Recompute exponents from n itself: what rho could not split is left in
+    # the cofactor, which stays coprime to every listed prime even when rho
+    # produced overlapping composite splits.
     factors = []
     rest = n
     for p in sorted(found):

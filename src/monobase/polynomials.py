@@ -44,10 +44,6 @@ class ZPoly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def monomial(cls, k: int, c: int = 1) -> "ZPoly":
-        return cls((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -119,9 +115,6 @@ class ZPoly:
 
     def derivative(self) -> "ZPoly":
         return ZPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def reduce_mod(self, p: int) -> "FpPoly":
-        return FpPoly.from_int_coeffs(self.coeffs, p)
 
     def __str__(self) -> str:
         return _format_poly(self.coeffs)
@@ -370,12 +363,6 @@ class FpPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def divides(self, other: "FpPoly") -> bool:
         """True iff self divides other in F_p[x]."""
         if self.p != other.p:
@@ -474,14 +461,6 @@ class FpPolyFactorization:
     unit: int
     factors: tuple[tuple[FpPoly, int], ...]
 
-    def product(self) -> FpPoly:
-        """Re-multiplied factorization; equals the reduced input polynomial."""
-        out = [self.unit % self.p]
-        for g, e in self.factors:
-            for _ in range(e):
-                out = _fp_mul(out, list(g.coeffs), self.p)
-        return FpPoly(self.p, tuple(out))
-
     def to_dict(self) -> dict:
         return {
             "p": self.p,
@@ -494,7 +473,7 @@ class FpPolyFactorization:
 
 def _monic_reduction(f: ZPoly, p: int) -> tuple[int, list[int]]:
     """(lc(f) mod p, monic reduction of f mod p), for p prime not dividing lc(f)."""
-    if not is_prime(p):
+    if p < 2 or not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f.is_zero or f.leading % p == 0:
         raise ValueError("leading coefficient vanishes mod p")

@@ -50,10 +50,6 @@ class IrreducibilityStatus:
     method: str | None = None
     detail: dict = field(default_factory=dict)
 
-    @property
-    def is_irreducible(self) -> bool:
-        return self.status == "irreducible"
-
     def to_dict(self) -> dict:
         out: dict = {"status": self.status}
         if self.method is not None:
@@ -69,6 +65,18 @@ class ReduciblePolynomialError(ValueError):
     def __init__(self, status: IrreducibilityStatus):
         super().__init__(f"polynomial is reducible: {status.detail}")
         self.status = status
+
+
+def _nonzero_discriminant(spec: QuadrinomialSpec) -> int:
+    """disc(f) by the closed form; zero means a repeated root, so f is reducible."""
+    disc = quadrinomial_discriminant(spec)
+    if disc == 0:
+        raise ReduciblePolynomialError(
+            IrreducibilityStatus(
+                "reducible", "vanishing_discriminant", {"detail": "repeated root"}
+            )
+        )
+    return disc
 
 
 def _divisors_from(fac: IntFactorization) -> list[int] | None:
@@ -285,13 +293,7 @@ def analyze_with_status(
         caveats.append(
             "irreducibility unverified: verdicts assume the polynomial is irreducible"
         )
-    disc = quadrinomial_discriminant(spec)
-    if disc == 0:
-        raise ReduciblePolynomialError(
-            IrreducibilityStatus(
-                "reducible", "vanishing_discriminant", {"detail": "repeated root"}
-            )
-        )
+    disc = _nonzero_discriminant(spec)
     fac = factor_integer(disc, effort)
     if not fac.is_complete:
         caveats.append(
@@ -345,8 +347,9 @@ def cross_check_with_dedekind(
 
     Returns the offending primes (empty means the two routes agree on every
     known prime divisor of the discriminant).  Meant for self-tests.
+    Raises ReduciblePolynomialError when the discriminant vanishes.
     """
-    disc = quadrinomial_discriminant(spec)
+    disc = _nonzero_discriminant(spec)
     f = spec.polynomial()
     bad = []
     for p, _ in factor_integer(disc, effort).factors:

@@ -1,6 +1,8 @@
 """Shared test utilities: seeded spec sampling and brute-force oracles."""
 
 import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 from monobase import QuadrinomialSpec, generate_spec, quadrinomial_discriminant
@@ -21,6 +23,23 @@ def random_specs(seed, count, n_range=(3, 9), coeff_bound=9):
             continue
         out.append(spec)
     return out
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block if it runs longer than seconds (SIGALRM),
+    so a hang fails the test instead of stalling the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def naive_is_prime(n):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import time_limit
 from monobase import integer_core
 from monobase.cli import CliError, main, parse_poly
 from monobase.discriminant import QuadrinomialSpec, quadrinomial_discriminant
@@ -165,6 +166,43 @@ def test_analyze_invalid_spec(capsys):
 def test_analyze_reducible_is_invalid(capsys):
     code, _, err = run(capsys, "analyze", "--n", "5", "--a", "49", "--b", "84", "--c", "36")
     assert code == 1 and "reducible" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--n", "7", "--a", "2", "--b", "4", "--c", "2",
+          "--trial-division-bound", "1"], "trial_division_bound must be at least 2"),
+        (["analyze", "--n", "7", "--a", "2", "--b", "4", "--c", "2",
+          "--rho-budget", "-5"], "rho_iteration_budget must be nonnegative"),
+        (["analyze", "--n", "2", "--template", "pc", "--c", "5"],
+         "degree must be at least 3"),
+        (["analyze", "--n", "7", "--a", "1", "--b", "3", "--c", "1"],
+         "b**2 = 4ac violated: 3**2 != 4*1*1"),
+        (["analyze", "--n", "7", "--a", "0", "--b", "0", "--c", "0"],
+         "constant term must be nonzero"),
+        (["analyze", "--n", "5", "--a", "49", "--b", "84", "--c", "36"],
+         "polynomial is reducible: {'root': -1}"),
+        (["analyze", "--n", "6", "--a", "-9", "--b", "-12", "--c", "-4"],
+         "polynomial is reducible: {'root': -1}"),
+        (["search", "--n", "2", "--c-min", "1", "--c-max", "3"],
+         "degree must be at least 3"),
+        (["binomial", "--n", "5", "--c", "0"], "c must be nonzero"),
+        (["binomial", "--n", "1", "--c", "3"], "degree must be at least 2"),
+        (["oracle", "--poly=-5,0,1", "--p", "4"], "4 is not prime"),
+        (["oracle", "--poly", "1,2", "--p", "2"], "oracle requires a monic polynomial"),
+    ],
+)
+def test_invalid_input_error_lines(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("p", ["-3", "-2", "0", "1"])
+def test_oracle_rejects_moduli_below_two(capsys, p):
+    with time_limit(5):
+        code, out, err = run(capsys, "oracle", "--poly", "1,0,1", f"--p={p}")
+    assert (code, out, err) == (1, "", f"error: {p} is not prime\n")
 
 
 def test_search_command(capsys):

@@ -111,7 +111,7 @@ def _dedekind_with_random_lifts(f: ZPoly, p: int, rng: random.Random) -> bool:
         m_coeffs.append(q)
     mbar = FpPoly.from_int_coeffs(m_coeffs, p)
     return any(
-        e > 1 and g.reduce_mod(p).divides(mbar) for g, e in lifts
+        e > 1 and FpPoly.from_int_coeffs(g.coeffs, p).divides(mbar) for g, e in lifts
     )
 
 

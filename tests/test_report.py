@@ -23,7 +23,6 @@ def test_irreducibility_rational_root():
     assert res.status == "reducible"
     assert res.method == "rational_root"
     assert res.detail["root"] == -1
-    assert not res.is_irreducible
     res = irreducibility_check(ZPoly((0, 0, 1)))  # x**2
     assert (res.status, res.detail["root"]) == ("reducible", 0)
 
@@ -82,7 +81,7 @@ def test_irreducibility_validation():
 def test_analyze_known_degree_seven_family():
     for c, (abs_disc, index, monogenic) in EXAMPLE_TRIO.items():
         rep = analyze(trio_spec(c))
-        assert rep.irreducibility.is_irreducible
+        assert rep.irreducibility.status == "irreducible"
         assert abs(rep.disc_poly) == abs_disc
         assert rep.monogenic == monogenic
         assert rep.index.kind == "exact"
@@ -110,6 +109,21 @@ def test_analyze_rejects_reducible():
     assert exc.value.status.method == "rational_root"
     with pytest.raises(ReduciblePolynomialError):
         analyze(QuadrinomialSpec(5, 4, 12, 9))  # root -1
+
+
+def test_vanishing_discriminant_is_the_same_error_on_every_route():
+    # x^6 - (3x + 2)^2 = (x + 1)^2 (x - 2)(x^3 + 3x + 2): disc f = 0.
+    spec = QuadrinomialSpec(6, -9, -12, -4)
+    with pytest.raises(ReduciblePolynomialError) as checked:
+        cross_check_with_dedekind(spec)
+    assert checked.value.status.to_dict() == {
+        "status": "reducible",
+        "method": "vanishing_discriminant",
+        "detail": {"detail": "repeated root"},
+    }
+    with pytest.raises(ReduciblePolynomialError) as analysed:
+        report.analyze_with_status(spec, report.IrreducibilityStatus("unverified"))
+    assert analysed.value.status == checked.value.status
 
 
 def test_analyze_unverified_irreducibility_caveat():

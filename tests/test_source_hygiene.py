@@ -20,3 +20,22 @@ def test_no_assert_statements_in_source():
             f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_no_module_imports_a_private_name_from_a_sibling():
+    # A module's underscore names are its own; a sibling that needs one should
+    # get a public function instead of reaching in.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and (node.module or "").split(".")[0] != "monobase":
+                continue
+            found += [
+                f"{path.name}:{node.lineno} {alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_")
+            ]
+    assert found == []
