@@ -2,9 +2,13 @@
 
 Everything runs on Python's native arbitrary-precision ints.  Factorization is
 trial division up to a configurable bound followed by Brent-cycle Pollard rho
-on whatever composite survives.  A factorization may be partial: the unfactored
-part is carried in a ``cofactor`` field (1 when complete) so callers can degrade
-gracefully instead of failing.
+on whatever composite survives.  Trial division takes the primes in blocks of
+_BLOCK_SIZE and asks one gcd with each block's product (Bernstein's batch trial
+division), so a block that shares no prime with the number costs one C-level
+gcd rather than a Python-level remainder per prime.  The primes and the block
+products are built on first use and cached per bound.  A factorization may be
+partial: the unfactored part is carried in a ``cofactor`` field (1 when
+complete) so callers can degrade gracefully instead of failing.
 
 All randomized routines draw from a generator seeded from the configured seed
 and the input, so results are reproducible regardless of call order.
@@ -16,6 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 DEFAULT_SEED = 1729
 
@@ -44,6 +49,14 @@ _MR_TIERS = (
     (DETERMINISTIC_PRIME_BOUND, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
 )
 
+# Largest accepted trial_division_bound.  The sieve takes bound + 1 bytes and
+# the prime table holds every prime up to the bound (664,579 at the cap, about
+# 36 MB at peak), so an unbounded value could ask for gigabytes.
+MAX_TRIAL_DIVISION_BOUND = 10**7
+
+# Trial division takes one gcd with the product of this many primes at a time.
+_BLOCK_SIZE = 64
+
 _SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SCREEN_PRIMORIAL = math.prod(_SCREEN_PRIMES)
 
@@ -59,6 +72,10 @@ class EffortConfig:
     def __post_init__(self) -> None:
         if self.trial_division_bound < 2:
             raise ValueError("trial_division_bound must be at least 2")
+        if self.trial_division_bound > MAX_TRIAL_DIVISION_BOUND:
+            raise ValueError(
+                f"trial_division_bound must be at most {MAX_TRIAL_DIVISION_BOUND}"
+            )
         if self.rho_iteration_budget < 0:
             raise ValueError("rho_iteration_budget must be nonnegative")
 
@@ -75,8 +92,17 @@ def primes_up_to(bound: int) -> tuple[int, ...]:
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+            sieve[p * p :: p] = bytes(len(range(p * p, bound + 1, p)))
+    return tuple(compress(range(bound + 1), sieve))
+
+
+@lru_cache(maxsize=8)
+def _block_products(bound: int) -> tuple[int, ...]:
+    """Products of primes_up_to(bound)[i : i + _BLOCK_SIZE], i = 0, _BLOCK_SIZE, ..."""
+    primes = primes_up_to(bound)
+    return tuple(
+        math.prod(primes[i : i + _BLOCK_SIZE]) for i in range(0, len(primes), _BLOCK_SIZE)
+    )
 
 
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
@@ -201,6 +227,13 @@ class IntFactorization:
 def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactorization:
     """Factor m != 0 within the given effort bounds.
 
+    Trial division walks the primes up to the bound in blocks, with the block
+    products cached per bound by _block_products.  It stops at the first block
+    whose smallest prime squared exceeds what is left, skips a block whose
+    product is coprime to it, and otherwise strips the primes of that gcd.
+    This finds the same primes as one remainder per prime would.  A composite
+    cofactor above the bound squared goes to Brent rho.
+
     Complete (cofactor == 1) whenever |m| < FULL_FACTOR_BOUND; beyond that the
     rho iteration budget applies and a composite cofactor may remain.
     """
@@ -210,13 +243,29 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     n = abs(m)
     found: set[int] = set()
     rest = n
-    for p in primes_up_to(effort.trial_division_bound):
-        if p * p > rest:
+    primes = primes_up_to(effort.trial_division_bound)
+    starts = range(0, len(primes), _BLOCK_SIZE)
+    for start, product in zip(starts, _block_products(effort.trial_division_bound)):
+        if primes[start] * primes[start] > rest:
             break
-        if rest % p == 0:
-            found.add(p)
-            while rest % p == 0:
-                rest //= p
+        g = math.gcd(rest, product)
+        if g == 1:
+            continue
+        # Strip every prime of g, with multiplicity, from rest.
+        q = g
+        while q > 1:
+            rest //= q
+            q = math.gcd(rest, q)
+        # g is a squarefree product of block primes; once p * p > g, what is
+        # left of g has no prime below p and so is 1 or a prime.
+        for p in primes[start : start + _BLOCK_SIZE]:
+            if p * p > g:
+                break
+            if g % p == 0:
+                found.add(p)
+                g //= p
+        if g > 1:
+            found.add(g)
     if rest > 1:
         if rest < effort.trial_division_bound**2 or is_prime(rest, seed=effort.rng_seed):
             found.add(rest)

@@ -150,7 +150,10 @@ def irreducibility_check(
     for c in f.coeffs[:-1]:
         lower_gcd = gcd(lower_gcd, c)
     if lower_gcd > 1:
-        for p, _ in factor_integer(lower_gcd, effort).factors:
+        # lower_gcd divides c0 and often equals |c0| (every pc spec); the
+        # factorization depends on |c0| only, so reuse it.
+        lower_fac = c0_fac if lower_gcd == abs(c0) else factor_integer(lower_gcd, effort)
+        for p, _ in lower_fac.factors:
             if c0 % (p * p) != 0:
                 return IrreducibilityStatus("irreducible", "eisenstein", {"prime": p})
 

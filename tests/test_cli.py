@@ -191,6 +191,9 @@ def test_analyze_reducible_is_invalid(capsys):
         (["binomial", "--n", "1", "--c", "3"], "degree must be at least 2"),
         (["oracle", "--poly=-5,0,1", "--p", "4"], "4 is not prime"),
         (["oracle", "--poly", "1,2", "--p", "2"], "oracle requires a monic polynomial"),
+        (["analyze", "--n", "7", "--a", "2", "--b", "4", "--c", "2",
+          "--trial-division-bound", "10000000000"],
+         "trial_division_bound must be at most 10000000"),
     ],
 )
 def test_invalid_input_error_lines(capsys, argv, message):

@@ -1,5 +1,6 @@
 """Integer toolkit: primality, factorization, valuations, squarefreeness."""
 
+import math
 import random
 
 import pytest
@@ -15,7 +16,14 @@ from monobase import (
     p_valuation,
     squarefree_status,
 )
-from monobase.integer_core import FULL_FACTOR_BOUND, primes_up_to
+from monobase.integer_core import (
+    _BLOCK_SIZE,
+    DEFAULT_EFFORT,
+    FULL_FACTOR_BOUND,
+    MAX_TRIAL_DIVISION_BOUND,
+    _brent_rho,
+    primes_up_to,
+)
 
 
 def test_primes_up_to_small():
@@ -79,6 +87,102 @@ def test_factor_integer_budget_exhaustion_leaves_composite_cofactor():
     assert fac.value == m
 
 
+def per_prime_factor_integer(m, effort):
+    """factor_integer with one remainder per prime below the bound: the
+    reference the block-gcd trial division must reproduce exactly."""
+    sign = -1 if m < 0 else 1
+    n = abs(m)
+    found = set()
+    rest = n
+    for p in primes_up_to(effort.trial_division_bound):
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            found.add(p)
+            while rest % p == 0:
+                rest //= p
+    if rest > 1:
+        if rest < effort.trial_division_bound**2 or is_prime(rest, seed=effort.rng_seed):
+            found.add(rest)
+        else:
+            rng = random.Random(f"rho:{effort.rng_seed}:{n}")
+            budget = [effort.rho_iteration_budget]
+            stack = [rest]
+            while stack:
+                x = stack.pop()
+                if is_prime(x, seed=effort.rng_seed):
+                    found.add(x)
+                    continue
+                d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
+                if d is not None:
+                    stack.extend((d, x // d))
+    factors = []
+    rest = n
+    for p in sorted(found):
+        e = 0
+        while rest % p == 0:
+            e += 1
+            rest //= p
+        if e:
+            factors.append((p, e))
+    return IntFactorization(sign=sign, factors=tuple(factors), cofactor=rest)
+
+
+def _block_edge_inputs(bound):
+    primes = primes_up_to(bound)
+    blocks = [primes[i : i + _BLOCK_SIZE] for i in range(0, len(primes), _BLOCK_SIZE)]
+    above = next(q for q in range(bound + 1, 2 * bound + 3) if is_prime(q))
+    big = [(2**89 - 1) * (2**107 - 1), (2**61 - 1) * (2**67 - 1), 2**64 + 13]
+    yield from (1, -1, -2, -30, -above, above**2, -(above**2) * 6, 2 * 3 * above**2)
+    for block in blocks:
+        for p in {block[0], block[-1]}:
+            for k in (1, 2, 5):
+                yield p**k
+                yield -(p**k) * above
+        yield block[0] * block[-1]  # g composite
+        yield math.prod(block[:3]) ** 2 * block[-1]
+        yield -block[-1] * above**2
+    for x in big:
+        yield x
+        yield -x * primes[-1] ** 3
+        yield x * blocks[-1][0] * blocks[0][-1] ** 2
+        yield x * above
+    rng = random.Random(bound)
+    for _ in range(40):
+        yield rng.choice((1, -1)) * math.prod(
+            rng.choice(primes) ** rng.randint(1, 3) for _ in range(rng.randint(1, 6))
+        ) * rng.choice((1, above, rng.randrange(1, 2**80)))
+
+
+@pytest.mark.parametrize(
+    "bound",
+    [
+        2,
+        3,
+        10,
+        50,
+        primes_up_to(1000)[_BLOCK_SIZE],  # a block of one prime at the end
+        primes_up_to(1000)[2 * _BLOCK_SIZE],
+        1000,  # last block partial
+        DEFAULT_EFFORT.trial_division_bound,
+    ],
+)
+@pytest.mark.parametrize("budget", [0, 2000])
+def test_block_trial_division_matches_per_prime_reference(bound, budget):
+    effort = EffortConfig(trial_division_bound=bound, rho_iteration_budget=budget)
+    small_primes = math.prod(primes_up_to(bound))
+    incomplete = 0
+    for m in _block_edge_inputs(bound):
+        fac = factor_integer(m, effort)
+        ref = per_prime_factor_integer(m, effort)
+        assert (fac.sign, fac.factors, fac.cofactor) == (ref.sign, ref.factors, ref.cofactor), m
+        assert fac.value == m
+        assert math.gcd(fac.cofactor, small_primes) == 1, m
+        incomplete += not fac.is_complete
+    if budget == 0:
+        assert incomplete > 0
+
+
 def test_factor_integer_rejects_zero():
     with pytest.raises(ValueError):
         factor_integer(0)
@@ -138,3 +242,6 @@ def test_effort_config_validation():
         EffortConfig(trial_division_bound=1)
     with pytest.raises(ValueError):
         EffortConfig(rho_iteration_budget=-1)
+    with pytest.raises(ValueError, match=f"at most {MAX_TRIAL_DIVISION_BOUND}$"):
+        EffortConfig(trial_division_bound=MAX_TRIAL_DIVISION_BOUND + 1)
+    assert EffortConfig(trial_division_bound=MAX_TRIAL_DIVISION_BOUND)

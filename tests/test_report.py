@@ -6,11 +6,13 @@ import pytest
 
 from helpers import EXAMPLE_TRIO, random_specs, trio_spec
 from monobase import (
+    FamilyTemplate,
     QuadrinomialSpec,
     ReduciblePolynomialError,
     ZPoly,
     analyze,
     cross_check_with_dedekind,
+    factor_integer,
     irreducibility_check,
 )
 from monobase import report
@@ -31,6 +33,21 @@ def test_irreducibility_eisenstein():
     res = irreducibility_check(QuadrinomialSpec(4, 448, 1008, 567).polynomial())
     assert (res.status, res.method) == ("irreducible", "eisenstein")
     assert res.detail["prime"] == 7
+
+
+def test_irreducibility_factors_a_pc_constant_once(monkeypatch):
+    # On x**n + c*(x + 1)**2 the gcd of the lower coefficients is |c|, whose
+    # factorization the rational-root step already holds.
+    calls = []
+
+    def counting(m, effort):
+        calls.append(m)
+        return factor_integer(m, effort)
+
+    monkeypatch.setattr(report, "factor_integer", counting)
+    res = irreducibility_check(FamilyTemplate(7).spec(-12).polynomial())
+    assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 3})
+    assert calls == [-12]
 
 
 def test_irreducibility_newton_polygon():
