@@ -44,10 +44,16 @@ def _parse_int(text: str) -> int:
 
 
 def parse_poly(text: str) -> ZPoly:
-    """Comma-separated coefficients, ascending degree order."""
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    """Comma-separated coefficients, ascending degree order.  One trailing
+    comma is allowed; any other empty field is an error, since dropping it
+    would shift every later degree."""
+    parts = text.split(",")
+    if len(parts) > 1 and not parts[-1].strip():
+        parts.pop()
+    if not any(p.strip() for p in parts):
         raise CliError("empty polynomial")
+    if not all(p.strip() for p in parts):
+        raise CliError(f"empty coefficient in {text!r}")
     return ZPoly(tuple(_parse_int(p) for p in parts))
 
 

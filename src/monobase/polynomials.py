@@ -9,7 +9,9 @@ keeps every intermediate value an exact integer.  Factorization over F_p is
 the classical squarefree / distinct-degree / equal-degree pipeline with
 Cantor-Zassenhaus splitting; the only randomness is the splitting element,
 drawn from a generator seeded by (seed, p, coefficients).  The factor degrees
-alone (degree_pattern_mod_p) need no split and no randomness.
+alone (degree_pattern_mod_p) need no split and no randomness, and neither
+does Dedekind's criterion in its gcd form (dedekind_gcd_mod_p), which needs
+only the squarefree decomposition.
 
 All arithmetic in F_p[x] lives in the _fp_* helpers on raw coefficient lists.
 FpPoly is only a result type: the factors and reductions that factor_mod_p
@@ -496,6 +498,38 @@ def factor_mod_p(f: ZPoly, p: int, *, seed: int = DEFAULT_SEED) -> FpPolyFactori
                 found.append((FpPoly(p, tuple(irr)), mult))
     found.sort(key=lambda ge: (ge[0].degree, ge[0].coeffs))
     return FpPolyFactorization(p, unit, tuple(found))
+
+
+def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
+    """Whether p divides the index of Z[x]/(f) in its maximal order, by the gcd
+    form of Dedekind's criterion (Cohen, GTM 138, Thm 6.1.4).
+
+    With g the radical of f mod p, h = (f mod p) / g, both lifted to
+    coefficients in [0, p), and F = (f - g*h) / p: p divides the index iff
+    gcd(F mod p, g, h) has positive degree.  Needs only the squarefree
+    decomposition, so no randomness and no x**p powers.  Requires monic f of
+    degree >= 1 and p prime.
+    """
+    if not f.is_monic:
+        raise ValueError("Dedekind criterion requires a monic polynomial")
+    if f.degree < 1:
+        raise ValueError("degree must be at least 1")
+    fbar = _monic_reduction(f, p)[1]
+    parts = _fp_sqf_list(fbar, p)
+    if all(mult == 1 for _, mult in parts):
+        return False
+    g = [1]
+    for part, _ in parts:
+        g = _fp_mul(g, part, p)
+    h = _fp_quo(fbar, g, p)
+    F = []
+    for coef in (f - ZPoly(tuple(g)) * ZPoly(tuple(h))).coeffs:
+        q, r = divmod(coef, p)
+        if r:
+            raise ArithmeticError("f - g*h is not divisible by p: broken radical")
+        F.append(q % p)
+    # F = 0 mod p leaves gcd(g, h), which has positive degree here.
+    return len(_fp_gcd(_fp_trim(F), _fp_gcd(g, h, p), p)) > 1
 
 
 def degree_pattern_mod_p(f: ZPoly, p: int) -> list[int]:

@@ -5,7 +5,13 @@ import signal
 from contextlib import contextmanager
 from fractions import Fraction
 
-from monobase import QuadrinomialSpec, generate_spec, quadrinomial_discriminant
+from monobase import (
+    QuadrinomialSpec,
+    ZPoly,
+    factor_mod_p,
+    generate_spec,
+    quadrinomial_discriminant,
+)
 
 
 def random_specs(seed, count, n_range=(3, 9), coeff_bound=9):
@@ -22,6 +28,86 @@ def random_specs(seed, count, n_range=(3, 9), coeff_bound=9):
         if quadrinomial_discriminant(spec) == 0:
             continue
         out.append(spec)
+    return out
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+LARGE_PRIMES = (4294967311, 2**61 - 1)  # both above 2**32
+DEDEKIND_PAIR_KINDS = ("random", "repeated", "squarefree", "f_zero", "frobenius", "linear", "large_p")
+
+
+def _monic(rng, degree, low, high):
+    return ZPoly(tuple(rng.randint(low, high) for _ in range(degree)) + (1,))
+
+
+def _reduced_product(factors, p):
+    """Integer product of the given (ZPoly, exponent) pairs, coefficients
+    reduced into [0, p)."""
+    prod = ZPoly((1,))
+    for g, e in factors:
+        prod = prod * g**e
+    return ZPoly(tuple(c % p for c in prod.coeffs))
+
+
+def _split_radical(f0, p):
+    """(g, h): the radical of f0 mod p and f0 / g mod p, reduced into [0, p)."""
+    fac = factor_mod_p(f0, p).factors
+    g = _reduced_product([(ZPoly(q.coeffs), 1) for q, _ in fac], p)
+    h = _reduced_product([(ZPoly(q.coeffs), e - 1) for q, e in fac], p)
+    return g, h
+
+
+def dedekind_pairs(seed, count):
+    """Deterministic stream of (kind, f, p) inputs for Dedekind's criterion,
+    cycling through DEDEKIND_PAIR_KINDS.  With g the radical of f mod p and h
+    the cofactor, both reduced into [0, p), and F = (f - g*h) / p:
+
+    random      monic f of degree 2..8, coefficients in [-20, 20], small p;
+    repeated    f = g*h + p*t for a product of small monic powers with a
+                repeated factor, so F = t is random;
+    squarefree  f mod p squarefree (rejection-sampled on factor_mod_p);
+    f_zero      as repeated, but f = g*h + p**2 * t: F = 0 mod p;
+    frobenius   w(x**p), plus p*t half the time, at p = 2 and 3;
+    linear      degree 1;
+    large_p     p above 2**32, f = g*h + p*t for a product of linear powers;
+                half the time t vanishes at the first root.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = DEDEKIND_PAIR_KINDS[len(out) % len(DEDEKIND_PAIR_KINDS)]
+        p = rng.choice(SMALL_PRIMES)
+        if kind in ("random", "squarefree"):
+            f = _monic(rng, rng.randint(2, 8), -20, 20)
+            if kind == "squarefree" and any(e > 1 for _, e in factor_mod_p(f, p).factors):
+                continue
+        elif kind == "frobenius":
+            p = rng.choice((2, 3))
+            w = _monic(rng, rng.randint(1, 3), -9, 9)
+            f = ZPoly(tuple(0 if j % p else w.coeffs[j // p] for j in range(p * w.degree + 1)))
+            if rng.random() < 0.5:
+                f = f + ZPoly((p,)) * _monic(rng, f.degree - 1, -9, 9)
+        elif kind == "linear":
+            f = ZPoly((rng.randint(-50, 50), 1))
+        else:
+            if kind == "large_p":
+                p = rng.choice(LARGE_PRIMES)
+                parts = [(ZPoly((rng.randrange(p), 1)), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3))]
+            else:
+                parts = [(_monic(rng, rng.randint(1, 2), 0, p - 1), rng.randint(1, 3))
+                         for _ in range(rng.randint(1, 3))]
+                parts[0] = (parts[0][0], rng.randint(2, 3))
+            g, h = _split_radical(_reduced_product(parts, p), p)
+            degree = g.degree + h.degree
+            if kind == "large_p" and degree >= 2 and rng.random() < 0.5:
+                t = parts[0][0] * _monic(rng, degree - 2, -9, 9)
+            else:
+                t = _monic(rng, degree - 1, -9, 9)
+            if kind == "f_zero":
+                t = ZPoly((p,)) * t
+            f = g * h + ZPoly((p,)) * t
+        out.append((kind, f, p))
     return out
 
 

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import time_limit
-from monobase import integer_core
+from helpers import EXAMPLE_TRIO, time_limit, trio_spec
+from monobase import cross_check_with_dedekind, integer_core, polynomials
 from monobase.cli import CliError, main, parse_poly
 from monobase.discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from monobase.polynomials import ZPoly
@@ -34,11 +34,18 @@ def test_parse_poly_ascending_order():
     assert parse_poly("3,") == ZPoly((3,))
 
 
-def test_parse_poly_rejects_garbage():
+def test_parse_poly_rejects_garbage(capsys):
     with pytest.raises(CliError):
         parse_poly("")
     with pytest.raises(CliError):
         parse_poly("1,x,2")
+    # An empty field would shift every later degree: "1,,1" is not x + 1.
+    for text in ("1,,1", ",1", "1,2,,", " , "):
+        with pytest.raises(CliError, match="empty"):
+            parse_poly(text)
+    code, out, err = run(capsys, "oracle", "--poly", "1,,1", "--p", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "empty coefficient" in err
 
 
 def test_seed_precedence(capsys, monkeypatch):
@@ -139,6 +146,50 @@ def test_analyze_factors_the_discriminant_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "--n", "7", "--template", "pc", "--c", "5", "--json")
     assert code == 0
     assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_only_a_printed_witness_factors_mod_p(capsys, monkeypatch):
+    original = polynomials.factor_mod_p
+    calls = []
+
+    def counting(f, p, *args, **kwargs):
+        calls.append((f, p))
+        return original(f, p, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monobase") and getattr(module, "factor_mod_p", None) is original:
+            monkeypatch.setattr(module, "factor_mod_p", counting)
+    for c in EXAMPLE_TRIO:
+        assert cross_check_with_dedekind(trio_spec(c)) == []
+    assert calls == []
+
+    expected = {
+        "schema_version": 1,
+        "command": "oracle",
+        "config": {
+            "seed": 1729,
+            "trial_division_bound": 100000,
+            "rho_iteration_budget": 1000000,
+        },
+        "warnings": [],
+        "result": {
+            "poly": [-5, 0, 1],
+            "p": 2,
+            "divides_index": True,
+            "factorization": {
+                "p": 2,
+                "unit": 1,
+                "factors": [{"coeffs": [1, 1], "multiplicity": 2}],
+            },
+            "m_reduced": [1, 1],
+            "offending_index": 0,
+            "offending_factor": [1, 1],
+        },
+    }
+    code, out, _ = run(capsys, "oracle", "--poly=-5,0,1", "--p", "2", "--json")
+    assert code == 0
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert calls == [(ZPoly((-5, 0, 1)), 2)]
 
 
 def test_analyze_unknown_exit_code(capsys):

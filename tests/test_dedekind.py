@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from helpers import random_specs
-from monobase import FpPoly, ZPoly, compute_M, dedekind_divides_index, factor_mod_p
-from monobase.polynomials import FpPolyFactorization
+from collections import Counter
+
+from helpers import DEDEKIND_PAIR_KINDS, dedekind_pairs, random_specs
+from monobase import FpPoly, ZPoly, compute_M, dedekind, dedekind_divides_index, factor_mod_p
+from monobase.polynomials import FpPolyFactorization, dedekind_gcd_mod_p
 
 
 def test_quadratic_worked_examples():
@@ -83,12 +85,53 @@ def test_compute_m_rejects_wrong_factorization():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        dedekind_divides_index(ZPoly((1, 2)), 2)  # not monic
-    with pytest.raises(ValueError):
-        dedekind_divides_index(ZPoly((1,)), 2)  # degree 0
-    with pytest.raises(ValueError):
-        dedekind_divides_index(ZPoly((1, 0, 1)), 4)  # composite p
+    for criterion in (dedekind_divides_index, dedekind_gcd_mod_p):
+        with pytest.raises(ValueError):
+            criterion(ZPoly((1, 2)), 2)  # not monic
+        with pytest.raises(ValueError):
+            criterion(ZPoly((1,)), 2)  # degree 0
+        with pytest.raises(ValueError):
+            criterion(ZPoly((1, 0, 1)), 4)  # composite p
+
+
+def factored_verdict(f, p):
+    """(some repeated factor of f mod p divides M, f mod p has a repeated
+    factor), from the full factorization."""
+    fac = factor_mod_p(f, p)
+    m = compute_M(f, p, fac)
+    return (
+        any(e > 1 and g.divides(m) for g, e in fac.factors),
+        any(e > 1 for _, e in fac.factors),
+    )
+
+
+def test_gcd_verdict_matches_factored_verdict():
+    # 400 pairs of each kind: squarefree reductions, F = 0 mod p, g(x^p) at
+    # p = 2 and 3, degree 1, primes above 2^32 and random inputs.
+    seen = Counter()
+    for kind, f, p in dedekind_pairs(2026, 400 * len(DEDEKIND_PAIR_KINDS)):
+        divides = dedekind_gcd_mod_p(f, p)
+        offending, repeated = factored_verdict(f, p)
+        assert divides == offending, (kind, f.coeffs, p)
+        if kind in ("squarefree", "linear"):
+            assert not repeated, (kind, f.coeffs, p)
+        if kind == "f_zero":
+            assert divides and repeated, (f.coeffs, p)
+        seen[kind, divides] += 1
+    assert sum(seen.values()) == 2800
+    for kind in ("random", "repeated", "frobenius", "large_p"):
+        assert seen[kind, True] >= 25 and seen[kind, False] >= 25, seen
+
+
+@pytest.mark.parametrize("coeffs, p", [((-5, 0, 1), 2), ((1, 0, 1), 2)])
+def test_witness_rejects_a_wrong_gcd_verdict(monkeypatch, coeffs, p):
+    f = ZPoly(coeffs)
+    truth = dedekind_gcd_mod_p(f, p)
+    monkeypatch.setattr(dedekind, "dedekind_gcd_mod_p", lambda f, p: not truth)
+    divides, witness = dedekind_divides_index(f, p)
+    assert divides != truth
+    with pytest.raises(ArithmeticError):
+        witness.to_dict()
 
 
 def _dedekind_with_random_lifts(f: ZPoly, p: int, rng: random.Random) -> bool:
