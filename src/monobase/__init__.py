@@ -15,17 +15,10 @@ from .discriminant import (
 )
 from .families import FamilyTemplate, SearchEntry, generate_spec, search_family
 from .index_criteria import (
-    CaseMismatchError,
     CaseTag,
     CaseVerdict,
     MonogenicityVerdict,
     binomial_integral_basis,
-    case_coprime_to_b,
-    case_divides_a_and_c,
-    case_divides_a_only,
-    case_divides_c_only,
-    case_two_coprime_to_ac,
-    classify_prime,
     prime_divides_index,
     shared_support_fastpath,
 )
@@ -64,7 +57,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "CaseMismatchError",
     "CaseTag",
     "CaseVerdict",
     "DEFAULT_EFFORT",
@@ -86,12 +78,6 @@ __all__ = [
     "ZPoly",
     "analyze",
     "binomial_integral_basis",
-    "case_coprime_to_b",
-    "case_divides_a_and_c",
-    "case_divides_a_only",
-    "case_divides_c_only",
-    "case_two_coprime_to_ac",
-    "classify_prime",
     "compute_M",
     "cross_check_with_dedekind",
     "dedekind_divides_index",

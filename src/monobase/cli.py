@@ -20,7 +20,7 @@ from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec
 from .families import FamilyTemplate, search_family
 from .index_criteria import binomial_integral_basis
-from .integer_core import DEFAULT_SEED, EffortConfig
+from .integer_core import DEFAULT_EFFORT, DEFAULT_SEED, EffortConfig
 from .polynomials import ZPoly
 from .report import ReduciblePolynomialError, analyze, cross_check_with_dedekind
 
@@ -221,6 +221,15 @@ def _iter_batch_lines(path: str):
             raise CliError(f"cannot read {path}: {exc}") from None
 
 
+def _json_int(obj: dict, key: str) -> int:
+    """obj[key] when it is a JSON integer; floats and booleans are refused,
+    not truncated."""
+    value = obj[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     effort = _effort(args)
     results = []
@@ -235,14 +244,11 @@ def cmd_batch(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise CliError(f"line {lineno}: invalid JSON ({exc})") from None
         try:
+            n, c = _json_int(obj, "n"), _json_int(obj, "c")
             if "template" in obj:
-                spec = FamilyTemplate(int(obj["n"]), obj["template"]).spec(
-                    int(obj["c"])
-                )
+                spec = FamilyTemplate(n, obj["template"]).spec(c)
             else:
-                spec = QuadrinomialSpec(
-                    int(obj["n"]), int(obj["a"]), int(obj["b"]), int(obj["c"])
-                )
+                spec = QuadrinomialSpec(n, _json_int(obj, "a"), _json_int(obj, "b"), c)
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(f"line {lineno}: bad spec ({exc})") from None
         try:
@@ -293,9 +299,14 @@ def _add_effort_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides MONOBASE_SEED)")
     p.add_argument(
-        "--trial-division-bound", type=int, default=100_000, dest="trial_division_bound"
+        "--trial-division-bound",
+        type=int,
+        default=DEFAULT_EFFORT.trial_division_bound,
+        dest="trial_division_bound",
     )
-    p.add_argument("--rho-budget", type=int, default=1_000_000, dest="rho_budget")
+    p.add_argument(
+        "--rho-budget", type=int, default=DEFAULT_EFFORT.rho_iteration_budget, dest="rho_budget"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,26 +2,28 @@
 
 For each prime p dividing disc(f) there is a pure divisibility test on
 (n, a, b, c) deciding whether p divides the index [maximal order : Z[theta]].
-The applicable test is selected by how p sits against a, b, c:
+prime_divides_index is the one entry point: it selects the case by how p
+sits against a, b, c and runs that case's rule.
 
-    p coprime to b                      -> case_coprime_to_b
-    p | a and p | c                     -> case_divides_a_and_c
-    p | a only                          -> case_divides_a_only
-    p | c only                          -> case_divides_c_only
-    otherwise (forces p = 2, 2 coprime to ac) -> case_two_coprime_to_ac
+    p coprime to b                            -> P_COPRIME_TO_B
+    p | a and p | c                           -> P_DIVIDES_A_AND_C
+    p | a only                                -> P_DIVIDES_A_ONLY
+    p | c only                                -> P_DIVIDES_C_ONLY
+    otherwise (forces p = 2, 2 coprime to ac) -> P_IS_2_COPRIME_TO_AC
 
-Each test returns passes=True when p does NOT divide the index.  The case
+A verdict has passes=True when p does NOT divide the index.  The case
 hypotheses imply side conditions (e.g. p | a forces p | n); those are
-re-derived at runtime and, should one ever fail, the caller falls back to the
-general Dedekind criterion and tags the verdict source accordingly.
+re-derived at runtime and, should one ever fail, prime_divides_index falls
+back to the general Dedekind criterion and tags the verdict source
+accordingly.
 
-case_divides_a_only works with exact derived integers
+The p | a only rule works with exact derived integers
 
     r = v_p(n),   b1 = b/p,   c1 = (c + (-c)**(p**r)) / p
 
-(the division exact by Fermat's little theorem; parity for p = 2), while
-case_divides_c_only needs none: there the constraint b**2 = 4ac forces
-p**2 | c, which already decides the verdict.
+(the division exact by Fermat's little theorem; parity for p = 2), while the
+p | c only rule needs none: there the constraint b**2 = 4ac forces p**2 | c,
+which already decides the verdict.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from .integer_core import (
     DEFAULT_EFFORT,
-    DEFAULT_SEED,
     EffortConfig,
     factor_integer,
     p_valuation,
@@ -48,10 +49,6 @@ class CaseTag(Enum):
     P_DIVIDES_C_ONLY = "p_divides_c_only"
     P_IS_2_COPRIME_TO_AC = "p_is_2_coprime_to_ac"
     P_COPRIME_TO_B = "p_coprime_to_b"
-
-
-class CaseMismatchError(ValueError):
-    """The requested case test does not apply to (spec, p)."""
 
 
 class CriterionScopeError(ArithmeticError):
@@ -76,43 +73,18 @@ class CaseVerdict:
         }
 
 
-def classify_prime(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseTag:
-    """Which case test applies to p.  Requires p >= 2 dividing disc(f)."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    if discriminant % p != 0:
-        raise ValueError(f"{p} does not divide the discriminant")
-    a, b, c = spec.a, spec.b, spec.c
-    if b % p != 0:
-        return CaseTag.P_COPRIME_TO_B
-    if a % p == 0 and c % p == 0:
-        return CaseTag.P_DIVIDES_A_AND_C
-    if a % p == 0:
-        return CaseTag.P_DIVIDES_A_ONLY
-    if c % p == 0:
-        return CaseTag.P_DIVIDES_C_ONLY
-    # p | b, p coprime to a and c: b**2 = 4ac rules out odd p, so p = 2.
-    if p != 2 or (a * c) % 2 == 0:
-        raise ArithmeticError("case split is not exhaustive: impossible residues")
-    return CaseTag.P_IS_2_COPRIME_TO_AC
+# Each rule below takes (spec, p, disc) for a prime p of its case and returns
+# (passes, witnesses).
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise CaseMismatchError(message)
-
-
-def case_divides_a_and_c(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
+def _divides_a_and_c(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p | a, p | c: the index stays coprime to p iff p**2 does not divide c."""
-    _require(spec.a % p == 0 and spec.c % p == 0, "case requires p | a and p | c")
-    passes = spec.c % (p * p) != 0
-    return CaseVerdict(CaseTag.P_DIVIDES_A_AND_C, passes)
+    return spec.c % (p * p) != 0, {}
 
 
-def case_divides_a_only(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
+def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p | a, p coprime to c.  Derived: p | b and p | n."""
     n, b, c = spec.n, spec.b, spec.c
-    _require(spec.a % p == 0 and c % p != 0, "case requires p | a and p coprime to c")
     if b % p != 0:
         raise CriterionScopeError("expected p | b when p | a")
     if n % p != 0:
@@ -128,12 +100,10 @@ def case_divides_a_only(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
     else:
         bracket = (pow(-c1 % p, n, p) + c % p * pow(b1 % p, n, p)) % p
         passes = b1 * bracket % p != 0
-    return CaseVerdict(
-        CaseTag.P_DIVIDES_A_ONLY, passes, {"r": r, "b1": b1, "c1": c1}
-    )
+    return passes, {"r": r, "b1": b1, "c1": c1}
 
 
-def case_divides_c_only(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
+def _divides_c_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p | c, p coprime to a: p always divides the index.
 
     Derived: p | b and p**2 | c (odd p: v_p(c) = 2*v_p(b); p = 2: v_2(b) >= 2
@@ -142,71 +112,69 @@ def case_divides_c_only(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
     monic lifts)/p has constant term c/p = 0 mod p, so the repeated factor x
     divides it: p divides the index for every value of v_p(n - 2).
     """
-    n, a, b, c = spec.n, spec.a, spec.b, spec.c
-    _require(c % p == 0 and a % p != 0, "case requires p | c and p coprime to a")
+    n, b, c = spec.n, spec.b, spec.c
     if b % p != 0:
         raise CriterionScopeError("expected p | b when p | c")
     if c % (p * p) != 0:
         raise CriterionScopeError("expected p**2 | c when p | c and p coprime to a")
     l, _ = p_valuation(n - 2, p)
     vc, _ = p_valuation(c, p)
-    return CaseVerdict(CaseTag.P_DIVIDES_C_ONLY, False, {"l": l, "vp_c": vc})
+    return False, {"l": l, "vp_c": vc}
 
 
-def case_two_coprime_to_ac(spec: QuadrinomialSpec, p: int) -> CaseVerdict:
+def _two_coprime_to_ac(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p = 2 with a, c odd.  Derived: 2 | n and v_2(b) = 1."""
-    _require(p == 2, "case only applies to p = 2")
     a, b, c = spec.a, spec.b, spec.c
-    _require((a * c) % 2 != 0, "case requires a and c odd")
     if spec.n % 2 != 0:
         raise CriterionScopeError("expected 2 | n when 2 is coprime to ac")
     if b % 2 != 0 or (b // 2) % 2 == 0:
         raise CriterionScopeError("expected v_2(b) = 1")
-    passes = a % 4 == 1 or c % 4 == 1
-    return CaseVerdict(CaseTag.P_IS_2_COPRIME_TO_AC, passes)
+    return a % 4 == 1 or c % 4 == 1, {}
 
 
-def case_coprime_to_b(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseVerdict:
+def _coprime_to_b(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p coprime to b.  Derived: p odd, coprime to a, c and n(n-2).
 
     Here p divides the index iff p**2 divides disc(f); the witness records
     v_p(disc).
     """
-    _require(spec.b % p != 0, "case requires p coprime to b")
     if p == 2:
         # b**2 = 4ac forces b even, so 2 never lands here for a valid spec.
         raise CriterionScopeError("2 divides every admissible b")
     if (spec.n * (spec.n - 2)) % p == 0:
         raise CriterionScopeError("expected p coprime to n(n-2)")
-    v, _ = p_valuation(discriminant, p)
-    return CaseVerdict(CaseTag.P_COPRIME_TO_B, v < 2, {"vp_disc": v})
+    v, _ = p_valuation(disc, p)
+    return v < 2, {"vp_disc": v}
 
 
-_CASE_DISPATCH = {
-    CaseTag.P_DIVIDES_A_AND_C: case_divides_a_and_c,
-    CaseTag.P_DIVIDES_A_ONLY: case_divides_a_only,
-    CaseTag.P_DIVIDES_C_ONLY: case_divides_c_only,
-    CaseTag.P_IS_2_COPRIME_TO_AC: case_two_coprime_to_ac,
-}
-
-
-def prime_divides_index(
-    spec: QuadrinomialSpec,
-    p: int,
-    discriminant: int,
-    *,
-    seed: int = DEFAULT_SEED,
-) -> CaseVerdict:
-    """Verdict for one prime p | disc(f), falling back to the Dedekind
-    criterion if a derived side condition unexpectedly fails."""
-    tag = classify_prime(spec, p, discriminant)
+def prime_divides_index(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseVerdict:
+    """Verdict for one prime p >= 2 dividing disc(f), from the rule of p's
+    case; falls back to the Dedekind criterion if a derived side condition of
+    that case unexpectedly fails."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    if discriminant % p != 0:
+        raise ValueError(f"{p} does not divide the discriminant")
+    a, b, c = spec.a, spec.b, spec.c
+    if b % p != 0:
+        tag, rule = CaseTag.P_COPRIME_TO_B, _coprime_to_b
+    elif a % p == 0 and c % p == 0:
+        tag, rule = CaseTag.P_DIVIDES_A_AND_C, _divides_a_and_c
+    elif a % p == 0:
+        tag, rule = CaseTag.P_DIVIDES_A_ONLY, _divides_a_only
+    elif c % p == 0:
+        tag, rule = CaseTag.P_DIVIDES_C_ONLY, _divides_c_only
+    elif p == 2:
+        # p | b, p coprime to a and c: b**2 = 4ac rules out odd p.
+        tag, rule = CaseTag.P_IS_2_COPRIME_TO_AC, _two_coprime_to_ac
+    else:
+        raise ArithmeticError("case split is not exhaustive: impossible residues")
     try:
-        if tag is CaseTag.P_COPRIME_TO_B:
-            return case_coprime_to_b(spec, p, discriminant)
-        return _CASE_DISPATCH[tag](spec, p)
+        passes, witnesses = rule(spec, p, discriminant)
     except CriterionScopeError:
-        divides, _ = dedekind_divides_index(spec.polynomial(), p, seed=seed)
+        divides, _ = dedekind_divides_index(spec.polynomial(), p)
         return CaseVerdict(tag, not divides, {}, source="oracle_fallback")
+    return CaseVerdict(tag, passes, witnesses)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from math import gcd
 
 from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec, quadrinomial_discriminant
-from .index_criteria import CaseVerdict, prime_divides_index
+from .index_criteria import CaseTag, CaseVerdict, prime_divides_index
 from .integer_core import (
     DEFAULT_EFFORT,
     EffortConfig,
@@ -256,9 +256,9 @@ class AnalysisReport:
         return out
 
 
-def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int, seed: int) -> PrimeVerdict:
-    case = prime_divides_index(spec, p, disc, seed=seed)
-    if spec.b % p != 0:
+def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int) -> PrimeVerdict:
+    case = prime_divides_index(spec, p, disc)
+    if case.tag is CaseTag.P_COPRIME_TO_B:
         # v_p(index) = floor(e/2) and v_p(disc K) = e mod 2, pass or fail.
         return PrimeVerdict(p, e, case, e // 2, True, e % 2)
     if case.passes:
@@ -302,9 +302,7 @@ def analyze_with_status(
         caveats.append(
             f"discriminant factorization incomplete: composite cofactor {fac.cofactor}"
         )
-    verdicts = tuple(
-        _prime_verdict(spec, p, e, disc, effort.rng_seed) for p, e in fac.factors
-    )
+    verdicts = tuple(_prime_verdict(spec, p, e, disc) for p, e in fac.factors)
 
     failing = [v for v in verdicts if not v.case.passes]
     if failing:
@@ -356,8 +354,8 @@ def cross_check_with_dedekind(
     f = spec.polynomial()
     bad = []
     for p, _ in factor_integer(disc, effort).factors:
-        verdict = prime_divides_index(spec, p, disc, seed=effort.rng_seed)
-        divides, _ = dedekind_divides_index(f, p, seed=effort.rng_seed)
+        verdict = prime_divides_index(spec, p, disc)
+        divides, _ = dedekind_divides_index(f, p)
         if verdict.passes != (not divides):
             bad.append(p)
     return bad

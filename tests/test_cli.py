@@ -317,6 +317,17 @@ def test_batch_command(capsys, tmp_path):
     code, _, err = run(capsys, "batch", "--input", str(path))
     assert code == 1 and "line 1:" in err and "reducible" in err
 
+    # Only JSON integers: floats and booleans are refused, not truncated.
+    for bad in (
+        '{"n": 7.9, "a": 2, "b": 4, "c": 2}',
+        '{"n": 7, "template": "pc", "c": 2.7}',
+        '{"n": 7, "a": true, "b": 2, "c": true}',
+    ):
+        path.write_text('{"n": 7, "a": 2, "b": 4, "c": 2}\n' + bad + "\n")
+        code, out, err = run(capsys, "batch", "--input", str(path))
+        assert code == 1 and "line 2: bad spec (" in err and "JSON integer" in err, bad
+        assert out == "", bad
+
     code, _, err = run(capsys, "batch", "--input", str(tmp_path / "missing.jsonl"))
     assert code == 1 and "cannot read" in err
 

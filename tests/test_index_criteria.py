@@ -1,4 +1,5 @@
-"""Per-prime divisibility cases: classification, each case rule, fallbacks."""
+"""Per-prime divisibility cases through prime_divides_index: case selection,
+each case rule, and the Dedekind fallback."""
 
 import random
 
@@ -6,71 +7,71 @@ import pytest
 
 from helpers import random_specs
 from monobase import (
-    CaseMismatchError,
     CaseTag,
     QuadrinomialSpec,
     ReduciblePolynomialError,
     analyze,
     binomial_integral_basis,
-    case_coprime_to_b,
-    case_divides_a_and_c,
-    case_divides_a_only,
-    case_divides_c_only,
-    case_two_coprime_to_ac,
-    classify_prime,
     dedekind_divides_index,
     factor_integer,
+    index_criteria,
     prime_divides_index,
     quadrinomial_discriminant,
     shared_support_fastpath,
 )
+from monobase.index_criteria import CriterionScopeError
 from monobase.integer_core import EffortConfig
 
-
-def _classify(spec, p):
-    return classify_prime(spec, p, quadrinomial_discriminant(spec))
-
-
-def test_classify_prime_decision_order():
-    assert _classify(QuadrinomialSpec(7, 2, 4, 2), 83) is CaseTag.P_COPRIME_TO_B
-    assert _classify(QuadrinomialSpec(7, 2, 4, 2), 2) is CaseTag.P_DIVIDES_A_AND_C
-    assert _classify(QuadrinomialSpec(9, 648, -288, 32), 3) is CaseTag.P_DIVIDES_A_ONLY
-    assert _classify(QuadrinomialSpec(5, 1, 6, 9), 3) is CaseTag.P_DIVIDES_C_ONLY
-    assert _classify(QuadrinomialSpec(4, 3, 6, 3), 2) is CaseTag.P_IS_2_COPRIME_TO_AC
+# One prime in each case: (spec, p, tag, name of the private rule).
+CASE_FIXTURES = (
+    (QuadrinomialSpec(7, 2, 4, 2), 83, CaseTag.P_COPRIME_TO_B, "_coprime_to_b"),
+    (QuadrinomialSpec(7, 2, 4, 2), 2, CaseTag.P_DIVIDES_A_AND_C, "_divides_a_and_c"),
+    (QuadrinomialSpec(9, 648, -288, 32), 3, CaseTag.P_DIVIDES_A_ONLY, "_divides_a_only"),
+    (QuadrinomialSpec(5, 1, 6, 9), 3, CaseTag.P_DIVIDES_C_ONLY, "_divides_c_only"),
+    (QuadrinomialSpec(4, 3, 6, 3), 2, CaseTag.P_IS_2_COPRIME_TO_AC, "_two_coprime_to_ac"),
+)
 
 
-def test_classify_prime_rejects_non_divisors():
+def _verdict(spec, p):
+    return prime_divides_index(spec, p, quadrinomial_discriminant(spec))
+
+
+def test_case_tag_decision_order():
+    for spec, p, tag, _ in CASE_FIXTURES:
+        assert _verdict(spec, p).tag is tag, (spec, p)
+
+
+def test_prime_divides_index_rejects_non_divisors():
     spec = QuadrinomialSpec(7, 2, 4, 2)
     with pytest.raises(ValueError):
-        _classify(spec, 5)  # 5 does not divide disc
+        _verdict(spec, 5)  # 5 does not divide disc
     with pytest.raises(ValueError):
-        _classify(spec, 1)
+        _verdict(spec, 1)
 
 
 def test_case_divides_a_and_c_rule():
     # passes iff p**2 does not divide c
-    v = case_divides_a_and_c(QuadrinomialSpec(7, 2, 4, 2), 2)
+    v = _verdict(QuadrinomialSpec(7, 2, 4, 2), 2)
+    assert v.tag is CaseTag.P_DIVIDES_A_AND_C
     assert v.passes and v.source == "theorem"
-    v = case_divides_a_and_c(QuadrinomialSpec(5, 4, 8, 4), 2)
+    v = _verdict(QuadrinomialSpec(5, 4, 8, 4), 2)
+    assert v.tag is CaseTag.P_DIVIDES_A_AND_C
     assert not v.passes
-    with pytest.raises(CaseMismatchError):
-        case_divides_a_and_c(QuadrinomialSpec(5, 1, 6, 9), 3)  # 3 does not divide a
 
 
 def test_case_divides_a_only_fixtures():
     # Outcomes frozen from the Dedekind criterion on these instances.
     passing = QuadrinomialSpec(9, 648, -288, 32)
-    v = case_divides_a_only(passing, 3)
+    v = _verdict(passing, 3)
+    assert v.tag is CaseTag.P_DIVIDES_A_ONLY and v.source == "theorem"
     assert v.passes and v.witnesses["r"] == 2 and v.witnesses["b1"] == -96
     assert not dedekind_divides_index(passing.polynomial(), 3)[0]
 
     failing = QuadrinomialSpec(8, -64, 112, -49)
-    v = case_divides_a_only(failing, 2)
+    v = _verdict(failing, 2)
+    assert v.tag is CaseTag.P_DIVIDES_A_ONLY and v.source == "theorem"
     assert not v.passes and v.witnesses["r"] == 3
     assert dedekind_divides_index(failing.polynomial(), 2)[0]
-
-    with pytest.raises(CaseMismatchError):
-        case_divides_a_only(QuadrinomialSpec(7, 2, 4, 2), 2)  # 2 divides c too
 
 
 def test_case_divides_c_only_always_fails():
@@ -84,39 +85,53 @@ def test_case_divides_c_only_always_fails():
         (4, 9, -12, 4, 2, 1),
     ):
         spec = QuadrinomialSpec(n, a, b, c)
-        v = case_divides_c_only(spec, p)
+        v = _verdict(spec, p)
+        assert v.tag is CaseTag.P_DIVIDES_C_ONLY and v.source == "theorem"
         assert not v.passes
         assert v.witnesses["l"] == l
         assert v.witnesses["vp_c"] >= 2
         assert dedekind_divides_index(spec.polynomial(), p)[0], spec
-    with pytest.raises(CaseMismatchError):
-        case_divides_c_only(QuadrinomialSpec(7, 2, 4, 2), 2)
 
 
 def test_case_two_coprime_to_ac_rule():
     # passes iff a = 1 or c = 1 mod 4
-    v = case_two_coprime_to_ac(QuadrinomialSpec(4, 5, 10, 5), 2)
+    v = _verdict(QuadrinomialSpec(4, 5, 10, 5), 2)
+    assert v.tag is CaseTag.P_IS_2_COPRIME_TO_AC and v.source == "theorem"
     assert v.passes
     assert not dedekind_divides_index(QuadrinomialSpec(4, 5, 10, 5).polynomial(), 2)[0]
-    v = case_two_coprime_to_ac(QuadrinomialSpec(4, 3, 6, 3), 2)
+    v = _verdict(QuadrinomialSpec(4, 3, 6, 3), 2)
+    assert v.tag is CaseTag.P_IS_2_COPRIME_TO_AC
     assert not v.passes
     assert dedekind_divides_index(QuadrinomialSpec(4, 3, 6, 3).polynomial(), 2)[0]
-    with pytest.raises(CaseMismatchError):
-        case_two_coprime_to_ac(QuadrinomialSpec(4, 3, 6, 3), 3)
-    with pytest.raises(CaseMismatchError):
-        case_two_coprime_to_ac(QuadrinomialSpec(7, 2, 4, 2), 2)  # a, c even
 
 
 def test_case_coprime_to_b_rule():
     spec = QuadrinomialSpec(7, 2, 4, 2)
     disc = quadrinomial_discriminant(spec)
     assert disc == -(2**6 * 3**2 * 83 * 1069)
-    v = case_coprime_to_b(spec, 3, disc)
+    v = prime_divides_index(spec, 3, disc)
+    assert v.tag is CaseTag.P_COPRIME_TO_B and v.source == "theorem"
     assert not v.passes and v.witnesses["vp_disc"] == 2
-    v = case_coprime_to_b(spec, 83, disc)
+    v = prime_divides_index(spec, 83, disc)
+    assert v.tag is CaseTag.P_COPRIME_TO_B
     assert v.passes and v.witnesses["vp_disc"] == 1
-    with pytest.raises(CaseMismatchError):
-        case_coprime_to_b(spec, 2, disc)  # 2 | b
+
+
+@pytest.mark.parametrize(
+    "spec, p, tag, rule", CASE_FIXTURES, ids=[fx[2].value for fx in CASE_FIXTURES]
+)
+def test_scope_error_falls_back_to_dedekind(monkeypatch, spec, p, tag, rule):
+    theorem = _verdict(spec, p)
+
+    def out_of_scope(*args):
+        raise CriterionScopeError("forced by the test")
+
+    monkeypatch.setattr(index_criteria, rule, out_of_scope)
+    v = _verdict(spec, p)
+    assert v.source == "oracle_fallback"
+    assert v.tag is tag and v.witnesses == {}
+    divides, _ = dedekind_divides_index(spec.polynomial(), p)
+    assert v.passes == (not divides) == theorem.passes
 
 
 def test_prime_divides_index_matches_dedekind_randomized():
@@ -135,7 +150,7 @@ def test_every_case_tag_reached_by_sampler():
     for spec in random_specs(505, 250, n_range=(3, 9), coeff_bound=9):
         disc = quadrinomial_discriminant(spec)
         for p, _ in factor_integer(disc).factors:
-            seen.add(classify_prime(spec, p, disc))
+            seen.add(prime_divides_index(spec, p, disc).tag)
     assert seen == set(CaseTag)
 
 

@@ -1,6 +1,8 @@
 """Properties of the source tree itself."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import monobase
@@ -39,3 +41,56 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 if alias.name.startswith("_")
             ]
     assert found == []
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench_trees():
+    paths = sorted(PERFBENCH.glob("*.py"))
+    assert paths, PERFBENCH
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"), filename=str(p))) for p in paths]
+
+
+def test_perfbench_monobase_names_exist():
+    # The benchmark lives outside the package and is not run by the tests, so
+    # narrowing the public API could break it silently.  Covers both
+    # `from monobase import X` and `monobase.X` attribute reads.
+    missing = []
+    for name, tree in _perfbench_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "monobase":
+                used = [alias.name for alias in node.names]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "monobase"
+            ):
+                used = [node.attr]
+            else:
+                continue
+            missing += [f"{name}:{node.lineno} {u}" for u in used if not hasattr(monobase, u)]
+    assert missing == []
+
+
+def test_perfbench_traced_functions_resolve():
+    # spans.TRACED names the functions the traced benchmark run rebinds; read
+    # it from source, since perfbench is not importable from the tests.
+    (tree,) = [t for name, t in _perfbench_trees() if name == "spans.py"]
+    (traced,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    ]
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts]
+    assert len(pairs) >= 10, pairs
+    for module, function in pairs:
+        mod = importlib.import_module(f"monobase.{module}")
+        assert callable(getattr(mod, function, None)), (module, function)
+
+
+def test_perfbench_dedekind_call_signature_binds():
+    # perfbench/gates.py passes seed= to dedekind_divides_index.
+    f = monobase.QuadrinomialSpec(7, 2, 4, 2).polynomial()
+    inspect.signature(monobase.dedekind_divides_index).bind(f, 2, seed=1)
