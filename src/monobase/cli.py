@@ -246,6 +246,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         try:
             n, c = _json_int(obj, "n"), _json_int(obj, "c")
             if "template" in obj:
+                if "a" in obj or "b" in obj:
+                    raise ValueError("template conflicts with explicit a/b")
                 spec = FamilyTemplate(n, obj["template"]).spec(c)
             else:
                 spec = QuadrinomialSpec(n, _json_int(obj, "a"), _json_int(obj, "b"), c)

@@ -13,6 +13,12 @@ alone (degree_pattern_mod_p) need no split and no randomness, and neither
 does Dedekind's criterion in its gcd form (dedekind_gcd_mod_p), which needs
 only the squarefree decomposition.
 
+Degree patterns are memoized per (p, monic reduction of f mod p) in an LRU
+cache of _PATTERN_CACHE_SIZE = 4096 entries, about 1.2 MiB when full.  For
+x^n + a x^2 + b x + c at most p^3 reductions exist per degree, whatever the
+size of the coefficients, so an irreducibility sweep meets the same few
+thousand patterns again and again.
+
 All arithmetic in F_p[x] lives in the _fp_* helpers on raw coefficient lists.
 FpPoly is only a result type: the factors and reductions that factor_mod_p
 and the Dedekind witnesses report, with a divisibility test.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .integer_core import DEFAULT_SEED, is_prime
@@ -532,13 +539,23 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
     return len(_fp_gcd(_fp_trim(F), _fp_gcd(g, h, p), p)) > 1
 
 
+# About 310 bytes per entry for degree 3-10 reductions; see the module docstring.
+_PATTERN_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PATTERN_CACHE_SIZE)
+def _degree_pattern(fbar: tuple[int, ...], p: int) -> tuple[int, ...]:
+    pattern: list[int] = []
+    for part, mult in _fp_sqf_list(list(fbar), p):
+        for stratum, d in _fp_ddf(part, p):
+            pattern += [d] * ((len(stratum) - 1) // d * mult)
+    return tuple(sorted(pattern))
+
+
 def degree_pattern_mod_p(f: ZPoly, p: int) -> list[int]:
     """Sorted degrees of the irreducible factors of f mod p, with multiplicity,
     from the squarefree and distinct-degree stages alone: a stratum of degree k
     and factor degree d holds k/d factors.  [deg f] iff f is irreducible mod p.
-    Requires p prime and p not dividing lc(f), as factor_mod_p does."""
-    pattern: list[int] = []
-    for part, mult in _fp_sqf_list(_monic_reduction(f, p)[1], p):
-        for stratum, d in _fp_ddf(part, p):
-            pattern += [d] * ((len(stratum) - 1) // d * mult)
-    return sorted(pattern)
+    Requires p prime and p not dividing lc(f), as factor_mod_p does; the check
+    runs on every call, before the memoized lookup on (monic reduction, p)."""
+    return list(_degree_pattern(tuple(_monic_reduction(f, p)[1]), p))

@@ -328,6 +328,16 @@ def test_batch_command(capsys, tmp_path):
         assert code == 1 and "line 2: bad spec (" in err and "JSON integer" in err, bad
         assert out == "", bad
 
+    # A template fixes a and b, as --template does for analyze.
+    for bad in (
+        '{"n": 7, "template": "pc", "c": 5, "a": 1, "b": 2}',
+        '{"n": 7, "template": "pc", "c": 5, "b": 10}',
+    ):
+        path.write_text('{"n": 7, "a": 2, "b": 4, "c": 2}\n' + bad + "\n")
+        code, out, err = run(capsys, "batch", "--input", str(path))
+        assert code == 1 and out == "", bad
+        assert "line 2: bad spec (template conflicts with explicit a/b)" in err, bad
+
     code, _, err = run(capsys, "batch", "--input", str(tmp_path / "missing.jsonl"))
     assert code == 1 and "cannot read" in err
 

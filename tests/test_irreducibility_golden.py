@@ -13,6 +13,7 @@ import random
 from pathlib import Path
 
 from monobase import generate_spec, irreducibility_check
+from monobase.polynomials import _degree_pattern
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "irreducibility_golden.json"
 SEED = 20230306
@@ -38,12 +39,16 @@ def golden_params():
     ]
 
 
-def corpus():
+def corpus(params=None):
     out = []
-    for params in golden_params():
-        status = irreducibility_check(generate_spec(*params).polynomial())
-        out.append({"uvwn": list(params), "status": status.to_dict()})
+    for uvwn in golden_params() if params is None else params:
+        status = irreducibility_check(generate_spec(*uvwn).polynomial())
+        out.append({"uvwn": list(uvwn), "status": status.to_dict()})
     return out
+
+
+def serialize(entries) -> str:
+    return "[\n" + ",\n".join(json.dumps(e) for e in entries) + "\n]\n"
 
 
 def test_irreducibility_matches_golden_corpus():
@@ -53,6 +58,17 @@ def test_irreducibility_matches_golden_corpus():
     assert corpus() == expected
 
 
+def test_golden_corpus_is_independent_of_pattern_cache_state():
+    # Forward from a cold degree-pattern cache, then backward on the warm one:
+    # both must reproduce the file byte for byte.
+    golden = GOLDEN.read_text(encoding="utf-8")
+    _degree_pattern.cache_clear()
+    assert serialize(corpus()) == golden
+    assert _degree_pattern.cache_info().hits > 0
+    backward = corpus(reversed(golden_params()))
+    assert serialize(backward[::-1]) == golden
+
+
 if __name__ == "__main__":
     with open(GOLDEN, "w", encoding="utf-8") as fh:
-        fh.write("[\n" + ",\n".join(json.dumps(e) for e in corpus()) + "\n]\n")
+        fh.write(serialize(corpus()))

@@ -15,7 +15,16 @@ from monobase import (
     is_prime,
     resultant,
 )
-from monobase.polynomials import _content, _fp_gcd, _fp_mul, _fp_sqf_list, degree_pattern_mod_p
+from monobase.polynomials import (
+    _PATTERN_CACHE_SIZE,
+    _content,
+    _degree_pattern,
+    _fp_gcd,
+    _fp_mul,
+    _fp_sqf_list,
+    _monic_reduction,
+    degree_pattern_mod_p,
+)
 from monobase.report import _PATTERN_PRIMES
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=7)
@@ -276,3 +285,61 @@ def test_degree_pattern_input_validation():
     assert degree_pattern_mod_p(ZPoly((2, 0, 3)), 5) == [1, 1]  # 3(x - 1)(x + 1)
     assert degree_pattern_mod_p(ZPoly((4, 0, 3)), 5) == [2]  # 3(x**2 + 3)
     assert degree_pattern_mod_p(ZPoly((4,)), 5) == []
+
+
+def _uncached_pattern(f: ZPoly, p: int) -> list[int]:
+    return list(_degree_pattern.__wrapped__(tuple(_monic_reduction(f, p)[1]), p))
+
+
+def test_degree_pattern_result_is_a_fresh_list():
+    f = ZPoly((1, 0, 2, 0, 1))
+    first = degree_pattern_mod_p(f, 2)
+    first.append(99)
+    first[0] = 7
+    assert degree_pattern_mod_p(f, 2) == [1, 1, 1, 1]
+    assert degree_pattern_mod_p(f, 2) is not degree_pattern_mod_p(f, 2)
+
+
+def test_degree_pattern_cache_is_keyed_on_the_monic_reduction():
+    p = 7
+    f = ZPoly((3, 5, 2, 0, 0, 1))  # x^5 + 2x^2 + 5x + 3
+    g = ZPoly((4, -1, 9))
+    shifted = f + ZPoly((p,)) * g  # same reduction mod 7
+    scaled = ZPoly(tuple(3 * c for c in f.coeffs))  # lc 3, same monic reduction
+    _degree_pattern.cache_clear()
+    patterns = [degree_pattern_mod_p(h, p) for h in (f, shifted, scaled)]
+    info = _degree_pattern.cache_info()
+    assert info.misses == 1 and info.hits == 2
+    assert patterns[0] == patterns[1] == patterns[2] == _factor_degrees(f, p)
+
+
+def test_degree_pattern_validates_before_the_cache():
+    # Warm entries under the keys the invalid calls would reduce to.
+    _degree_pattern((1, 1), 6)
+    assert degree_pattern_mod_p(ZPoly((1,)), 3) == []  # (1 + 3x) mod 3 is 1
+    for _ in range(2):
+        with pytest.raises(ValueError, match="not prime"):
+            degree_pattern_mod_p(ZPoly((1, 1)), 6)  # composite modulus
+        with pytest.raises(ValueError, match="leading coefficient"):
+            degree_pattern_mod_p(ZPoly((1, 3)), 3)  # p | lc(f)
+    _degree_pattern.cache_clear()
+
+
+def test_degree_pattern_cache_is_bounded():
+    assert _degree_pattern.cache_info().maxsize == _PATTERN_CACHE_SIZE
+    assert 0 < _PATTERN_CACHE_SIZE <= 1 << 16
+
+
+def test_cached_and_uncached_degree_patterns_agree():
+    for p in (2, 3):
+        for n in range(1, 7):
+            for lower in itertools.product(range(p), repeat=n):
+                f = ZPoly(lower + (1,))
+                assert degree_pattern_mod_p(f, p) == _uncached_pattern(f, p), (lower, p)
+    rng = random.Random(2024)
+    for _ in range(80):
+        deg = rng.randint(2, 14)
+        f = ZPoly(tuple(rng.randint(-30, 30) for _ in range(deg)) + (rng.randint(1, 5),))
+        for p in _PATTERN_PRIMES:
+            if f.leading % p:
+                assert degree_pattern_mod_p(f, p) == _uncached_pattern(f, p), (f.coeffs, p)
