@@ -49,7 +49,6 @@ from .report import (
     ReduciblePolynomialError,
     analyze,
     cross_check_with_dedekind,
-    dk_formula,
     irreducibility_check,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "cross_check_with_dedekind",
     "dedekind_divides_index",
     "discriminant_via_resultant",
-    "dk_formula",
     "double_root_divisibility_test",
     "factor_integer",
     "factor_mod_p",

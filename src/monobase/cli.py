@@ -224,6 +224,8 @@ def _iter_batch_lines(path: str):
 def _json_int(obj: dict, key: str) -> int:
     """obj[key] when it is a JSON integer; floats and booleans are refused,
     not truncated."""
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
     value = obj[key]
     if type(value) is not int:
         raise ValueError(f"{key} must be a JSON integer, got {json.dumps(value)}")
@@ -244,6 +246,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         except json.JSONDecodeError as exc:
             raise CliError(f"line {lineno}: invalid JSON ({exc})") from None
         try:
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
             n, c = _json_int(obj, "n"), _json_int(obj, "c")
             if "template" in obj:
                 if "a" in obj or "b" in obj:

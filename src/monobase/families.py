@@ -2,8 +2,10 @@
 
 generate_spec builds (a, b, c) = (u*w**2, 2*u*v*w, u*v**2), which satisfies
 b**2 = 4ac identically, so it sweeps the admissible surface without any
-root-finding.  FamilyTemplate names one-parameter slices of that surface;
-the "pc" template is (a, b, c) = (c, 2c, c), i.e. x**n + c*(x + 1)**2.
+root-finding.  FamilyTemplate names a one-parameter slice of that surface;
+its one rule, "pc", is (a, b, c) = (c, 2c, c), i.e. x**n + c*(x + 1)**2.
+search_family sweeps a template over c, skips inadmissible c with a reason,
+and keeps the full analyze() report of every other c.
 """
 
 from __future__ import annotations
@@ -12,11 +14,7 @@ from dataclasses import dataclass
 
 from .discriminant import QuadrinomialSpec
 from .integer_core import DEFAULT_EFFORT, EffortConfig, squarefree_status
-from .report import AnalysisReport, IndexStatus, analyze_with_status, irreducibility_check
-
-_TEMPLATE_RULES = {
-    "pc": lambda c: (c, 2 * c, c),
-}
+from .report import AnalysisReport, IndexStatus, ReduciblePolynomialError, analyze
 
 
 @dataclass(frozen=True)
@@ -27,14 +25,13 @@ class FamilyTemplate:
     rule: str = "pc"
 
     def __post_init__(self) -> None:
-        if self.rule not in _TEMPLATE_RULES:
+        if self.rule != "pc":
             raise ValueError(f"unknown template rule {self.rule!r}")
         if self.n < 3:
             raise ValueError("degree must be at least 3")
 
     def spec(self, c: int) -> QuadrinomialSpec:
-        a, b, cc = _TEMPLATE_RULES[self.rule](c)
-        return QuadrinomialSpec(self.n, a, b, cc)
+        return QuadrinomialSpec(self.n, c, 2 * c, c)
 
 
 def generate_spec(u: int, v: int, w: int, n: int) -> QuadrinomialSpec:
@@ -46,14 +43,24 @@ def generate_spec(u: int, v: int, w: int, n: int) -> QuadrinomialSpec:
 
 @dataclass(frozen=True)
 class SearchEntry:
-    """One parameter value of a family search: either skipped or analyzed."""
+    """One parameter value of a family search: skipped with a reason, or
+    analyzed with its report."""
 
     c: int
-    skipped: bool
     reason: str | None = None
-    monogenic: str | None = None
-    index: IndexStatus | None = None
     report: AnalysisReport | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.report is None
+
+    @property
+    def monogenic(self) -> str | None:
+        return None if self.report is None else self.report.monogenic
+
+    @property
+    def index(self) -> IndexStatus | None:
+        return None if self.report is None else self.report.index
 
     def to_dict(self) -> dict:
         out: dict = {"c": self.c, "skipped": self.skipped}
@@ -79,32 +86,22 @@ def search_family(
     out: list[SearchEntry] = []
     for c in c_values:
         if c == 0 or c in (1, -1):
-            out.append(SearchEntry(c, True, f"c = {c} is excluded"))
+            out.append(SearchEntry(c, f"c = {c} is excluded"))
             continue
         sf = squarefree_status(c, effort)
         if sf.status == "not_squarefree":
-            out.append(SearchEntry(c, True, f"c is divisible by {sf.witness}**2"))
+            out.append(SearchEntry(c, f"c is divisible by {sf.witness}**2"))
             continue
         if sf.status == "unknown":
-            out.append(SearchEntry(c, True, "squarefreeness of c undecided"))
+            out.append(SearchEntry(c, "squarefreeness of c undecided"))
             continue
-        spec = template.spec(c)
-        irr = irreducibility_check(spec.polynomial(), effort)
-        if irr.status == "reducible":
-            out.append(SearchEntry(c, True, f"reducible: {irr.detail}"))
+        try:
+            report = analyze(template.spec(c), effort)
+        except ReduciblePolynomialError as exc:
+            out.append(SearchEntry(c, f"reducible: {exc.status.detail}"))
             continue
-        if irr.status == "unverified":
-            out.append(SearchEntry(c, True, "irreducibility unverified"))
+        if report.irreducibility.status == "unverified":
+            out.append(SearchEntry(c, "irreducibility unverified"))
             continue
-        report = analyze_with_status(spec, irr, effort)
-        out.append(
-            SearchEntry(
-                c,
-                False,
-                None,
-                report.monogenic,
-                report.index,
-                report,
-            )
-        )
+        out.append(SearchEntry(c, None, report))
     return out

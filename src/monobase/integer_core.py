@@ -320,12 +320,6 @@ class SquarefreeStatus:
     def is_squarefree(self) -> bool:
         return self.status == "squarefree"
 
-    def to_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
 
 def squarefree_status(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> SquarefreeStatus:
     """Decide whether |m| is squarefree, allowing Unknown on factoring failure."""

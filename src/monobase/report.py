@@ -1,12 +1,14 @@
 """Whole-field analysis: irreducibility, per-prime verdicts, index, field disc.
 
-analyze() is the one-stop entry point.  It certifies irreducibility (or
-refuses on a proven reducible input), factors the discriminant, runs the
-divisibility test for every known prime divisor, and assembles:
+analyze() is the only code that builds an AnalysisReport; family searches
+call it too.  It certifies irreducibility (or refuses on a proven reducible
+input), factors the discriminant, runs the divisibility test for every known
+prime divisor, and assembles:
 
   * the monogenicity verdict (yes / no / unknown),
   * the index [maximal order : Z[theta]] as exact value or lower bound,
-  * |disc K| as a factored integer when every valuation is pinned down.
+  * |disc K| as a factored integer when the index is exact, which pins
+    down every valuation.
 
 Valuations come from the parity of v_p(disc f): for p coprime to b the index
 always absorbs floor(v/2) and the field keeps v mod 2, whether or not p
@@ -266,29 +268,11 @@ def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int) -> PrimeVe
     return PrimeVerdict(p, e, case, 1, False, None)
 
 
-def dk_formula(verdicts: tuple[PrimeVerdict, ...]) -> IntFactorization | None:
-    """|disc K| assembled from per-prime valuations; None if any is open."""
-    pairs = []
-    for v in verdicts:
-        if v.field_disc_valuation is None:
-            return None
-        if v.field_disc_valuation > 0:
-            pairs.append((v.p, v.field_disc_valuation))
-    return IntFactorization(sign=1, factors=tuple(pairs), cofactor=1)
-
-
 def analyze(
     spec: QuadrinomialSpec, effort: EffortConfig = DEFAULT_EFFORT
 ) -> AnalysisReport:
     """Full monogenicity analysis of the field defined by spec's polynomial."""
-    return analyze_with_status(spec, irreducibility_check(spec.polynomial(), effort), effort)
-
-
-def analyze_with_status(
-    spec: QuadrinomialSpec, irr: IrreducibilityStatus, effort: EffortConfig = DEFAULT_EFFORT
-) -> AnalysisReport:
-    """analyze() for a spec whose irreducibility_check result irr is already
-    known, so a caller that ran the check does not pay for it twice."""
+    irr = irreducibility_check(spec.polynomial(), effort)
     if irr.status == "reducible":
         raise ReduciblePolynomialError(irr)
     caveats: list[str] = []
@@ -317,17 +301,19 @@ def analyze_with_status(
     for v in verdicts:
         index_value *= v.p**v.index_valuation
         exact = exact and v.index_valuation_exact
+    abs_dk = None
     if exact:
         index = IndexStatus("exact", index_value)
+        # An exact index pins every v_p(disc K); primes where it is 0 drop out.
+        pairs = tuple((v.p, v.field_disc_valuation) for v in verdicts if v.field_disc_valuation)
+        abs_dk = IntFactorization(sign=1, factors=pairs, cofactor=1)
+        # Consistency: disc f = index**2 * disc K up to the recorded valuations.
+        if abs(disc) != index_value**2 * abs_dk.value:
+            raise ArithmeticError("valuation bookkeeping broke: |disc f| != index**2 * |disc K|")
     elif index_value > 1:
         index = IndexStatus("lower_bound", index_value)
     else:
         index = IndexStatus("unknown", None)
-
-    abs_dk = dk_formula(verdicts) if fac.is_complete else None
-    # Consistency: disc f = index**2 * disc K up to the recorded valuations.
-    if abs_dk is not None and exact and abs(disc) != index_value**2 * abs_dk.value:
-        raise ArithmeticError("valuation bookkeeping broke: |disc f| != index**2 * |disc K|")
     return AnalysisReport(
         spec=spec,
         irreducibility=irr,

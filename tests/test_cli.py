@@ -338,6 +338,20 @@ def test_batch_command(capsys, tmp_path):
         assert code == 1 and out == "", bad
         assert "line 2: bad spec (template conflicts with explicit a/b)" in err, bad
 
+    # A line that is not an object, or lacks a key, gets a message, not a
+    # Python exception text.
+    for bad, message in (
+        ("[1,2]", "expected a JSON object"),
+        ('"x"', "expected a JSON object"),
+        ("7", "expected a JSON object"),
+        ('{"n": 7, "c": 2}', "missing key 'a'"),
+        ('{"template": "pc", "c": 2}', "missing key 'n'"),
+    ):
+        path.write_text(bad + "\n")
+        code, out, err = run(capsys, "batch", "--input", str(path))
+        assert code == 1 and out == "", bad
+        assert f"line 1: bad spec ({message})" in err, bad
+
     code, _, err = run(capsys, "batch", "--input", str(tmp_path / "missing.jsonl"))
     assert code == 1 and "cannot read" in err
 

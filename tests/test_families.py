@@ -73,10 +73,43 @@ def test_search_family_checks_irreducibility_once_per_spec(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(report, "irreducibility_check", counted)
-    monkeypatch.setattr(families, "irreducibility_check", counted)
     entries = search_family(FamilyTemplate(5), [0, 12, 5, 7, -3])
     assert [e.skipped for e in entries] == [True, True, False, False, False]
     assert len(calls) == 3
+
+
+def test_search_family_analyzes_each_admissible_spec_once(monkeypatch):
+    calls = []
+    real = families.analyze
+
+    def counted(spec, *args):
+        calls.append(spec)
+        return real(spec, *args)
+
+    monkeypatch.setattr(families, "analyze", counted)
+    entries = search_family(FamilyTemplate(5), [0, 12, 5, 7, -3])
+    assert calls == [FamilyTemplate(5).spec(c) for c in (5, 7, -3)]
+    assert [e.report for e in entries[2:]] == [real(spec) for spec in calls]
+
+
+@pytest.mark.parametrize(
+    "status, reason",
+    [
+        (
+            report.IrreducibilityStatus("reducible", "rational_root", {"root": -1}),
+            "reducible: {'root': -1}",
+        ),
+        (report.IrreducibilityStatus("unverified"), "irreducibility unverified"),
+    ],
+)
+def test_search_family_irreducibility_skip_reasons(monkeypatch, status, reason):
+    # The pc template is Eisenstein at every prime of a squarefree c, so only
+    # a stubbed check reaches these branches.
+    monkeypatch.setattr(report, "irreducibility_check", lambda *_: status)
+    (entry,) = search_family(FamilyTemplate(5), [5])
+    assert entry.skipped and entry.reason == reason
+    assert entry.report is None and entry.monogenic is None and entry.index is None
+    assert entry.to_dict() == {"c": 5, "skipped": True, "reason": reason}
 
 
 def test_search_family_undecided_squarefreeness():

@@ -1,5 +1,6 @@
 """End-to-end analysis: irreducibility certificates, verdict assembly, caveats."""
 
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,6 @@ from monobase import (
 )
 from monobase import report
 from monobase.integer_core import EffortConfig, IntFactorization
-from monobase.report import PrimeVerdict, dk_formula
 
 
 def test_irreducibility_rational_root():
@@ -128,7 +128,7 @@ def test_analyze_rejects_reducible():
         analyze(QuadrinomialSpec(5, 4, 12, 9))  # root -1
 
 
-def test_vanishing_discriminant_is_the_same_error_on_every_route():
+def test_vanishing_discriminant_is_the_same_error_on_every_route(monkeypatch):
     # x^6 - (3x + 2)^2 = (x + 1)^2 (x - 2)(x^3 + 3x + 2): disc f = 0.
     spec = QuadrinomialSpec(6, -9, -12, -4)
     with pytest.raises(ReduciblePolynomialError) as checked:
@@ -138,8 +138,12 @@ def test_vanishing_discriminant_is_the_same_error_on_every_route():
         "method": "vanishing_discriminant",
         "detail": {"detail": "repeated root"},
     }
+    # With the certificates unable to decide, analyze reaches the closed form.
+    monkeypatch.setattr(
+        report, "irreducibility_check", lambda *_: report.IrreducibilityStatus("unverified")
+    )
     with pytest.raises(ReduciblePolynomialError) as analysed:
-        report.analyze_with_status(spec, report.IrreducibilityStatus("unverified"))
+        analyze(spec)
     assert analysed.value.status == checked.value.status
 
 
@@ -150,14 +154,19 @@ def test_analyze_unverified_irreducibility_caveat():
 
 
 def test_analyze_raises_when_valuation_bookkeeping_breaks(monkeypatch):
-    # Drop one prime from |disc K|: index**2 * |disc K| no longer equals
+    # Shift one field valuation: index**2 * |disc K| no longer equals
     # |disc f|, and the check must raise whatever the interpreter's -O flag.
-    def lossy(verdicts):
-        return IntFactorization(sign=1, factors=dk_formula(verdicts).factors[1:], cofactor=1)
+    real = report._prime_verdict
+
+    def shifted(spec, p, e, disc):
+        v = real(spec, p, e, disc)
+        if p != 7:
+            return v
+        return dataclasses.replace(v, field_disc_valuation=v.field_disc_valuation + 1)
 
     spec = QuadrinomialSpec(7, 7, 14, 7)
     assert analyze(spec).index.kind == "exact"
-    monkeypatch.setattr(report, "dk_formula", lossy)
+    monkeypatch.setattr(report, "_prime_verdict", shifted)
     with pytest.raises(ArithmeticError, match="bookkeeping"):
         analyze(spec)
 
@@ -188,16 +197,11 @@ def test_analyze_failing_divisor_of_b_leaves_lower_bound():
     assert v3.field_disc_valuation is None
 
 
-def test_dk_formula_assembly():
-    case = analyze(trio_spec(5)).prime_verdicts[0].case  # any passing verdict
-    full = (
-        PrimeVerdict(2, 6, case, 0, True, 6),
-        PrimeVerdict(3, 2, case, 1, True, 0),
-        PrimeVerdict(83, 1, case, 0, True, 1),
-    )
-    fac = dk_formula(full)
-    assert fac.value == 2**6 * 83
-    assert dk_formula(full + (PrimeVerdict(5, 1, case, 1, False, None),)) is None
+def test_analyze_field_disc_leaves_out_zero_valuations():
+    # For c = 2, 3 divides disc f twice and the index once: v_3(disc K) = 0.
+    rep = analyze(trio_spec(2))
+    assert rep.index == report.IndexStatus("exact", 3)
+    assert rep.abs_disc_field.factors == ((2, 6), (83, 1), (1069, 1))
 
 
 def test_report_round_trips_through_json():
