@@ -1,8 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for a decided result, 2 when the verdict is Unknown (an effort
-bound was hit), 1 for invalid input.  --json emits a single document with a
-schema_version field; the human-readable output carries the same facts.
+bound was hit), 1 for invalid input, usage errors included.  --json emits a
+single document with a schema_version field; the human-readable output
+carries the same facts.
 
 Polynomials on the command line are comma-separated coefficients in
 ascending degree order ("2,4,2,0,0,0,0,1" is x^7 + 2x^2 + 4x + 2).  A Unicode
@@ -33,6 +34,14 @@ EXIT_UNKNOWN = 2
 
 class CliError(Exception):
     """Invalid input: reported on stderr, exit code 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as CliError, so they exit 1 like any invalid
+    input instead of argparse's 2, the code reserved for Unknown."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def _parse_int(text: str) -> int:
@@ -316,7 +325,7 @@ def _add_effort_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="monobase",
         description="Monogenicity of number fields from x^n + a*x^2 + b*x + c with b^2 = 4ac",
     )
@@ -364,9 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Python 3.10.7+ refuses to print ints of more than 4300 digits by default;
+    # discriminants of large specs exceed that.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

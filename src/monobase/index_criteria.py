@@ -83,10 +83,8 @@ def _divides_a_and_c(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, d
 
 
 def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
-    """p | a, p coprime to c.  Derived: p | b and p | n."""
+    """p | a, p | b, p coprime to c.  Derived: p | n."""
     n, b, c = spec.n, spec.b, spec.c
-    if b % p != 0:
-        raise CriterionScopeError("expected p | b when p | a")
     if n % p != 0:
         raise CriterionScopeError("expected p | n when p | a and p coprime to c")
     r, _ = p_valuation(n, p)
@@ -104,17 +102,15 @@ def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, di
 
 
 def _divides_c_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
-    """p | c, p coprime to a: p always divides the index.
+    """p | b, p | c, p coprime to a: p always divides the index.
 
-    Derived: p | b and p**2 | c (odd p: v_p(c) = 2*v_p(b); p = 2: v_2(b) >= 2
+    Derived: p**2 | c (odd p: v_p(c) = 2*v_p(b); p = 2: v_2(b) >= 2
     and v_2(c) = 2*v_2(b) - 2).  Then f = x**2 * (x**(n-2) + a) mod p with x
     of multiplicity exactly two, and (f - product of coefficient-reduced
     monic lifts)/p has constant term c/p = 0 mod p, so the repeated factor x
     divides it: p divides the index for every value of v_p(n - 2).
     """
-    n, b, c = spec.n, spec.b, spec.c
-    if b % p != 0:
-        raise CriterionScopeError("expected p | b when p | c")
+    n, c = spec.n, spec.c
     if c % (p * p) != 0:
         raise CriterionScopeError("expected p**2 | c when p | c and p coprime to a")
     l, _ = p_valuation(n - 2, p)
@@ -123,11 +119,11 @@ def _divides_c_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, di
 
 
 def _two_coprime_to_ac(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
-    """p = 2 with a, c odd.  Derived: 2 | n and v_2(b) = 1."""
+    """p = 2 with 2 | b and a, c odd.  Derived: 2 | n and v_2(b) = 1."""
     a, b, c = spec.a, spec.b, spec.c
     if spec.n % 2 != 0:
         raise CriterionScopeError("expected 2 | n when 2 is coprime to ac")
-    if b % 2 != 0 or (b // 2) % 2 == 0:
+    if (b // 2) % 2 == 0:
         raise CriterionScopeError("expected v_2(b) = 1")
     return a % 4 == 1 or c % 4 == 1, {}
 

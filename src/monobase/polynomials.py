@@ -4,14 +4,14 @@ Polynomials are coefficient sequences in *ascending* degree order with no
 trailing zeros, so coeffs[i] is the coefficient of x**i and the zero
 polynomial is the empty tuple.
 
-Resultants over Z use the subresultant polynomial remainder sequence, which
-keeps every intermediate value an exact integer.  Factorization over F_p is
-the classical squarefree / distinct-degree / equal-degree pipeline with
-Cantor-Zassenhaus splitting; the only randomness is the splitting element,
-drawn from a generator seeded by (seed, p, coefficients).  The factor degrees
-alone (degree_pattern_mod_p) need no split and no randomness, and neither
-does Dedekind's criterion in its gcd form (dedekind_gcd_mod_p), which needs
-only the squarefree decomposition.
+Resultants over Z run Euclid's algorithm over Q in exact Fraction
+arithmetic, an independent route to disc(f) that checks the closed form.
+Factorization over F_p is the classical squarefree / distinct-degree /
+equal-degree pipeline with Cantor-Zassenhaus splitting; the only randomness
+is the splitting element, drawn from a generator seeded by (seed, p,
+coefficients).  The factor degrees alone (degree_pattern_mod_p) need no split
+and no randomness, and neither does Dedekind's criterion in its gcd form
+(dedekind_gcd_mod_p), which needs only the squarefree decomposition.
 
 Degree patterns are memoized per (p, monic reduction of f mod p) in an LRU
 cache of _PATTERN_CACHE_SIZE = 4096 entries, about 1.2 MiB when full.  For
@@ -29,16 +29,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .integer_core import DEFAULT_SEED, is_prime
-
-
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"inexact division {num} / {den}")
-    return q
 
 
 @dataclass(frozen=True)
@@ -156,76 +148,39 @@ def _format_poly(coeffs, var: str = "x") -> str:
 # Resultants over Z.
 
 
-def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)**(deg a - deg b + 1) * a = q*b + r."""
-    db = len(b) - 1
-    lb = b[-1]
-    r = list(a)
-    e = len(a) - len(b) + 1
-    while r and len(r) - 1 >= db:
-        lr = r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for j, cb in enumerate(b):
-            r[shift + j] -= lr * cb
-        while r and r[-1] == 0:
-            r.pop()
-        e -= 1
-    if e > 0:
-        m = lb**e
-        r = [m * c for c in r]
-    return r
-
-
-def _content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = gcd(g, c)
-    return g or 1
-
-
 def _res_ascending(a: list[int], b: list[int]) -> int:
     """Res(a, b) = lc(a)**deg(b) * prod b(alpha) over roots alpha of a.
 
-    Subresultant PRS with the classical g/h bookkeeping; every division is
-    exact by the subresultant theorem.
+    Euclid's algorithm over Q: with r = a mod b,
+    Res(a, b) = (-1)**(deg a * deg b) * lc(b)**(deg a - deg r) * Res(b, r),
+    down to Res(a, c) = c**deg(a) for a constant c; a vanishing remainder
+    means a common factor and a zero resultant.
     """
-    s = 1
-    if len(a) < len(b):
-        if (len(a) - 1) & 1 and (len(b) - 1) & 1:
-            s = -1
-        a, b = b, a
-    da, db = len(a) - 1, len(b) - 1
-    if da == 0:
-        return 1
-    ca, cb = _content(a), _content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    t = s * ca**db * cb**da
-    if db == 0:
-        return t * b[0] ** da
-    g = h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if (da & 1) and (db & 1):
-            t = -t
-        r = _prem(a, b)
+    # Imported here: `import monobase` must not load fractions (~4 ms cold).
+    from fractions import Fraction
+
+    a = [Fraction(c) for c in a]
+    b = [Fraction(c) for c in b]
+    t = Fraction(1)
+    while len(b) > 1:
+        da, db, lb = len(a) - 1, len(b) - 1, b[-1]
+        r = a
+        while len(r) > db:
+            q = r[-1] / lb
+            shift = len(r) - 1 - db
+            r = r[:shift] + [rc - q * bc for rc, bc in zip(r[shift:-1], b)]
+            while r and r[-1] == 0:
+                r.pop()
         if not r:
             return 0
-        a = b
-        denom = g * h**delta
-        b = [_exact_div(c, denom) for c in r]
-        g = a[-1]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _exact_div(g**delta, h ** (delta - 1))
-        if len(b) - 1 == 0:
-            break
-    da = len(a) - 1
-    final = _exact_div(b[-1] ** da, h ** (da - 1)) if da >= 1 else 1
-    return t * final
+        if da & db & 1:
+            t = -t
+        t *= lb ** (da - len(r) + 1)
+        a, b = b, r
+    t *= b[0] ** (len(a) - 1)
+    if t.denominator != 1:
+        raise ArithmeticError(f"resultant {t} is not an integer")
+    return t.numerator
 
 
 def resultant(f: ZPoly, g: ZPoly) -> int:

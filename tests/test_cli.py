@@ -245,11 +245,34 @@ def test_analyze_reducible_is_invalid(capsys):
         (["analyze", "--n", "7", "--a", "2", "--b", "4", "--c", "2",
           "--trial-division-bound", "10000000000"],
          "trial_division_bound must be at most 10000000"),
+        # Usage errors exit 1 too, not argparse's 2, which means Unknown here.
+        (["analyze", "--n", "x"], "argument --n: invalid int value: 'x'"),
+        (["search", "--n", "5", "--c-min", "1"],
+         "the following arguments are required: --c-max"),
     ],
 )
 def test_invalid_input_error_lines(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: monobase")
+
+
+def test_analyze_prints_discriminants_beyond_the_int_digit_limit(capsys):
+    # disc = -27 * 2**14402 has 4,337 digits, past the default str(int) cap.
+    spec = QuadrinomialSpec(3, 0, 0, 2**7201)
+    with time_limit(30):
+        code, out, err = run(
+            capsys, "analyze", "--n", "3", "--a", "0", "--b", "0",
+            "--c", str(spec.c), "--json",
+        )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["disc_poly"] == quadrinomial_discriminant(spec)
 
 
 @pytest.mark.parametrize("p", ["-3", "-2", "0", "1"])

@@ -40,7 +40,9 @@ def test_closed_form_trio_values():
 
 
 def test_closed_form_equals_resultant_route_both_parities():
-    for spec in random_specs(101, 250, n_range=(3, 10), coeff_bound=12):
+    specs = random_specs(101, 250, n_range=(3, 10), coeff_bound=12)
+    specs += random_specs(103, 40, n_range=(20, 40), coeff_bound=12)
+    for spec in specs:
         assert quadrinomial_discriminant(spec) == discriminant_via_resultant(
             spec.polynomial()
         ), spec

@@ -17,7 +17,6 @@ from monobase import (
 )
 from monobase.polynomials import (
     _PATTERN_CACHE_SIZE,
-    _content,
     _degree_pattern,
     _fp_gcd,
     _fp_mul,
@@ -47,10 +46,9 @@ def test_zpoly_ring_evaluation_homomorphism(a, b, x):
     assert (f * g)(x) == f(x) * g(x)
 
 
-def test_zpoly_derivative_and_content():
+def test_zpoly_derivative():
     f = ZPoly((4, 0, 6))  # 6x^2 + 4
     assert f.derivative().coeffs == (0, 12)
-    assert _content(list(f.coeffs)) == 2
     assert ZPoly(()).derivative().is_zero
 
 
@@ -73,10 +71,11 @@ def test_resultant_product_over_roots_convention():
 
 
 def test_resultant_matches_sylvester_determinant():
+    # Degree 0 on either side covers constant operands: Res(a, c) = c**deg a.
     rng = random.Random(31)
     for _ in range(400):
-        da = rng.randint(1, 6)
-        db = rng.randint(1, 6)
+        da = rng.randint(0, 6)
+        db = rng.randint(0, 6)
         a = [rng.randint(-9, 9) for _ in range(da)] + [rng.choice((1, -3, 2, 7))]
         b = [rng.randint(-9, 9) for _ in range(db)] + [rng.choice((1, -2, 5))]
         f, g = ZPoly(tuple(a)), ZPoly(tuple(b))
