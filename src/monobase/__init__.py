@@ -18,7 +18,6 @@ from .index_criteria import (
     CaseTag,
     CaseVerdict,
     MonogenicityVerdict,
-    binomial_integral_basis,
     prime_divides_index,
     shared_support_fastpath,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "SquarefreeStatus",
     "ZPoly",
     "analyze",
-    "binomial_integral_basis",
     "compute_M",
     "cross_check_with_dedekind",
     "dedekind_divides_index",

@@ -20,7 +20,6 @@ import sys
 from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec
 from .families import FamilyTemplate, search_family
-from .index_criteria import binomial_integral_basis
 from .integer_core import DEFAULT_EFFORT, DEFAULT_SEED, EffortConfig
 from .polynomials import ZPoly
 from .report import ReduciblePolynomialError, analyze, cross_check_with_dedekind
@@ -208,17 +207,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_DECIDED
 
 
-def cmd_binomial(args: argparse.Namespace) -> int:
-    effort = _effort(args)
-    verdict = binomial_integral_basis(args.n, args.c, effort)
-    lines = [f"x^{args.n} - ({args.c}): {verdict.status}"]
-    if verdict.witness is not None:
-        lines.append(f"witness prime: {verdict.witness}")
-    doc = _document("binomial", effort, verdict.to_dict(), [])
-    _emit(doc, args.json, lines)
-    return EXIT_UNKNOWN if verdict.status == "unknown" else EXIT_DECIDED
-
-
 def _iter_batch_lines(path: str):
     if path == "-":
         yield from sys.stdin
@@ -353,12 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     _add_effort_flags(p)
     p.set_defaults(func=cmd_oracle)
-
-    p = sub.add_parser("binomial", help="monogenicity of x^n - c")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    _add_effort_flags(p)
-    p.set_defaults(func=cmd_binomial)
 
     p = sub.add_parser("batch", help="analyze JSON-lines specs from a file or stdin")
     p.add_argument("--input", default="-", help="path or - for stdin")

@@ -180,38 +180,6 @@ class MonogenicityVerdict:
     status: str  # "monogenic" | "not_monogenic" | "unknown"
     witness: int | None = None
 
-    def to_dict(self) -> dict:
-        out: dict = {"status": self.status}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-def binomial_integral_basis(
-    n: int, c: int, effort: EffortConfig = DEFAULT_EFFORT
-) -> MonogenicityVerdict:
-    """Monogenicity of x**n - c (irreducibility assumed, theta a root).
-
-    Z[theta] is maximal iff c is squarefree and, for every prime p | n with
-    p coprime to c and r = v_p(n), p**2 does not divide c**(p**r) - c.
-    """
-    if n < 2:
-        raise ValueError("degree must be at least 2")
-    if c == 0:
-        raise ValueError("c must be nonzero")
-    for p, _ in factor_integer(n, effort).factors:
-        if c % p != 0:
-            r, _ = p_valuation(n, p)
-            p2 = p * p
-            if (pow(c, p**r, p2) - c) % p2 == 0:
-                return MonogenicityVerdict("not_monogenic", p)
-    sf = squarefree_status(c, effort)
-    if sf.status == "not_squarefree":
-        return MonogenicityVerdict("not_monogenic", sf.witness)
-    if sf.status == "unknown":
-        return MonogenicityVerdict("unknown")
-    return MonogenicityVerdict("monogenic")
-
 
 def _support_subset(x: int, y: int) -> bool:
     """True iff every prime dividing x also divides y (x, y nonzero)."""

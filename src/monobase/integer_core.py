@@ -6,12 +6,16 @@ on whatever composite survives.  Trial division takes the primes in blocks of
 _BLOCK_SIZE and asks one gcd with each block's product (Bernstein's batch trial
 division), so a block that shares no prime with the number costs one C-level
 gcd rather than a Python-level remainder per prime.  The primes and the block
-products are built on first use and cached per bound.  A factorization may be
-partial: the unfactored part is carried in a ``cofactor`` field (1 when
-complete) so callers can degrade gracefully instead of failing.
+products are built on first use and cached per bound.  A composite that is a
+perfect power r**k goes on as r, since rho cannot split the power of a large
+prime.  A factorization may be partial: the unfactored part is carried in a
+``cofactor`` field (1 when complete) so callers can degrade gracefully instead
+of failing.
 
 All randomized routines draw from a generator seeded from the configured seed
-and the input, so results are reproducible regardless of call order.
+and the input, so results are reproducible regardless of call order.  The input
+enters the seed in decimal below 10**4300 and in hex above, so that keys never
+meet Python's default limit on int-to-str conversion.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ MAX_TRIAL_DIVISION_BOUND = 10**7
 
 # Trial division takes one gcd with the product of this many primes at a time.
 _BLOCK_SIZE = 64
+
+# Inputs below this go into RNG seeds in decimal, which str() renders under
+# Python's default limit of 4300 digits; larger inputs go in hex.
+_DECIMAL_KEY_LIMIT = 10**4300
 
 _SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 _SCREEN_PRIMORIAL = math.prod(_SCREEN_PRIMES)
@@ -105,6 +113,10 @@ def _block_products(bound: int) -> tuple[int, ...]:
     )
 
 
+def _key(n: int) -> str:
+    return str(n) if n < _DECIMAL_KEY_LIMIT else f"x{n:x}"
+
+
 def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
     """True if a witnesses that odd n > 2 is composite (n - 1 = d * 2**s)."""
     x = pow(a, d, n)
@@ -138,7 +150,7 @@ def is_prime(m: int, *, seed: int = DEFAULT_SEED) -> bool:
     for threshold, bases in _MR_TIERS:
         if n < threshold:
             return not any(_mr_composite_witness(n, a, d, s) for a in bases)
-    rng = random.Random(f"is_prime:{seed}:{n}")
+    rng = random.Random(f"is_prime:{seed}:{_key(n)}")
     return not any(
         _mr_composite_witness(n, rng.randrange(2, n - 1), d, s)
         for _ in range(_MR_ROUNDS)
@@ -178,6 +190,28 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int], unlimited: bool) -
         if g < n:
             return g
         # g == n: the cycle collapsed, retry with a fresh constant.
+    return None
+
+
+def _iroot(x: int, k: int) -> int:
+    """floor(x ** (1/k)) for x >= 1, k >= 2, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + x // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power_root(x: int, bound: int) -> int | None:
+    """r with x == r**k for some prime k, or None.  Every prime of x exceeds
+    bound, so r > bound and only k <= x.bit_length() // (bound.bit_length() - 1)
+    can occur."""
+    for k in range(2, x.bit_length() // (bound.bit_length() - 1) + 1):
+        if is_prime(k):
+            r = _iroot(x, k)
+            if r**k == x:
+                return r
     return None
 
 
@@ -232,7 +266,8 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     whose smallest prime squared exceeds what is left, skips a block whose
     product is coprime to it, and otherwise strips the primes of that gcd.
     This finds the same primes as one remainder per prime would.  A composite
-    cofactor above the bound squared goes to Brent rho.
+    cofactor above the bound squared goes to Brent rho, except that a perfect
+    power r**k (k prime) is replaced by r first.
 
     Complete (cofactor == 1) whenever |m| < FULL_FACTOR_BOUND; beyond that the
     rho iteration budget applies and a composite cofactor may remain.
@@ -270,13 +305,17 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
         if rest < effort.trial_division_bound**2 or is_prime(rest, seed=effort.rng_seed):
             found.add(rest)
         else:
-            rng = random.Random(f"rho:{effort.rng_seed}:{n}")
+            rng = random.Random(f"rho:{effort.rng_seed}:{_key(n)}")
             budget = [effort.rho_iteration_budget]
             stack = [rest]
             while stack:
                 x = stack.pop()
                 if is_prime(x, seed=effort.rng_seed):
                     found.add(x)
+                    continue
+                root = _perfect_power_root(x, effort.trial_division_bound)
+                if root is not None:
+                    stack.append(root)
                     continue
                 d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
                 if d is not None:
@@ -329,14 +368,4 @@ def squarefree_status(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> Squarefr
     for p, e in fac.factors:
         if e >= 2:
             return SquarefreeStatus("not_squarefree", p)
-    if fac.cofactor == 1:
-        return SquarefreeStatus("squarefree")
-    root = math.isqrt(fac.cofactor)
-    if root * root == fac.cofactor:
-        # Any prime of the square root is a witness; even a partial split works.
-        sub = factor_integer(root, effort)
-        if sub.factors:
-            return SquarefreeStatus("not_squarefree", sub.factors[0][0])
-        if is_prime(root, seed=effort.rng_seed):
-            return SquarefreeStatus("not_squarefree", root)
-    return SquarefreeStatus("unknown")
+    return SquarefreeStatus("squarefree" if fac.is_complete else "unknown")

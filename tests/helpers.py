@@ -215,3 +215,21 @@ EXAMPLE_TRIO = {
 
 def trio_spec(c):
     return QuadrinomialSpec(7, c, 2 * c, c)
+
+
+def binomial_integral_basis(n, c):
+    """Monogenicity of x**n - c (irreducibility assumed, theta a root) by the
+    classical criterion, which shares no code with the case rules: Z[theta]
+    is maximal iff c is squarefree and, for every prime p | n with p coprime
+    to c and r = v_p(n), p**2 does not divide c**(p**r) - c.
+
+    Returns (status, witness): ("monogenic", None) or ("not_monogenic", p)
+    with p a prime dividing the index.
+    """
+    for p, r in naive_factor(n):
+        if c % p != 0 and (pow(c, p**r, p * p) - c) % (p * p) == 0:
+            return "not_monogenic", p
+    for p, e in naive_factor(abs(c)):
+        if e >= 2:
+            return "not_monogenic", p
+    return "monogenic", None

@@ -7,9 +7,16 @@ run with -s to see the lines.
 import random
 import time
 
-from helpers import EXAMPLE_TRIO, naive_factor, random_specs, trio_spec
+from helpers import (
+    EXAMPLE_TRIO,
+    binomial_integral_basis,
+    naive_factor,
+    random_specs,
+    trio_spec,
+)
 from monobase import (
     FamilyTemplate,
+    QuadrinomialSpec,
     ZPoly,
     analyze,
     dedekind_divides_index,
@@ -21,7 +28,6 @@ from monobase import (
     quadrinomial_discriminant,
     search_family,
 )
-from monobase.index_criteria import binomial_integral_basis
 from monobase.report import ReduciblePolynomialError
 
 
@@ -185,7 +191,7 @@ def test_binomial_rule_coheres_with_dedekind():
         for c in range(-50, 51):
             if c == 0 or not _is_squarefree(c):
                 continue
-            verdict = binomial_integral_basis(n, c)
+            status, witness = binomial_integral_basis(n, c)
             f = ZPoly(tuple([-c] + [0] * (n - 1) + [1]))
             ps = {p for p, _ in naive_factor(n)}
             if abs(c) > 1:
@@ -193,9 +199,9 @@ def test_binomial_rule_coheres_with_dedekind():
             failing = [p for p in sorted(ps) if dedekind_divides_index(f, p)[0]]
             expected = "not_monogenic" if failing else "monogenic"
             checked += 1
-            if verdict.status != expected:
+            if status != expected:
                 bad.append((n, c))
-            elif failing and verdict.witness not in failing:
+            elif failing and witness not in failing:
                 bad.append((n, c))
     elapsed = time.perf_counter() - t0
     ok = checked >= 600 and not bad
@@ -203,6 +209,39 @@ def test_binomial_rule_coheres_with_dedekind():
         "x^n - c rule == Dedekind on every p | disc, n <= 12, |c| <= 50 squarefree",
         ok,
         f"{checked} pairs, {len(bad)} mismatches, {elapsed:.1f}s",
+    )
+
+
+def test_analyze_on_binomials_matches_the_binomial_criterion():
+    # x^n - C is the spec (n, 0, 0, -C): its primes fall under the case rules
+    # p | a and c, and p | a only.  The classical x^n - c criterion is an
+    # independent oracle for that slice of the family.
+    t0 = time.perf_counter()
+    checked = 0
+    bad = []
+    for n in range(3, 16):
+        for c in range(-120, 121):
+            if c == 0:
+                continue
+            try:
+                rep = analyze(QuadrinomialSpec(n, 0, 0, -c))
+            except ReduciblePolynomialError:
+                continue
+            if rep.irreducibility.status != "irreducible":
+                continue
+            checked += 1
+            status, witness = binomial_integral_basis(n, c)
+            failing = {v.p for v in rep.prime_verdicts if not v.case.passes}
+            if rep.monogenic != {"monogenic": "yes", "not_monogenic": "no"}[status]:
+                bad.append((n, c))
+            elif witness is not None and witness not in failing:
+                bad.append((n, c))
+    elapsed = time.perf_counter() - t0
+    ok = checked >= 2900 and not bad
+    _report(
+        "analyze(x^n - C) == x^n - c criterion, n 3-15, 0 < |C| <= 120, irreducible",
+        ok,
+        f"{checked} specs, {len(bad)} disagreements {bad[:5]}, {elapsed:.1f}s",
     )
 
 

@@ -2,6 +2,8 @@
 
 import io
 import json
+import re
+import shlex
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from monobase.discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from monobase.polynomials import ZPoly
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "analyze_golden.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -238,8 +241,12 @@ def test_analyze_reducible_is_invalid(capsys):
          "polynomial is reducible: {'root': -1}"),
         (["search", "--n", "2", "--c-min", "1", "--c-max", "3"],
          "degree must be at least 3"),
-        (["binomial", "--n", "5", "--c", "0"], "c must be nonzero"),
-        (["binomial", "--n", "1", "--c", "3"], "degree must be at least 2"),
+        # x^n - c is an analyze spec now; the binomial command is gone.
+        (["binomial", "--n", "5", "--c", "7"],
+         "argument command: invalid choice: 'binomial' "
+         "(choose from 'analyze', 'search', 'oracle', 'batch', 'selftest')"),
+        (["analyze", "--n", "2", "--a", "0", "--b", "0", "--c", "1"],
+         "degree must be at least 3"),
         (["oracle", "--poly=-5,0,1", "--p", "4"], "4 is not prime"),
         (["oracle", "--poly", "1,2", "--p", "2"], "oracle requires a monic polynomial"),
         (["analyze", "--n", "7", "--a", "2", "--b", "4", "--c", "2",
@@ -254,6 +261,39 @@ def test_analyze_reducible_is_invalid(capsys):
 def test_invalid_input_error_lines(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def _readme_usage_lines():
+    """Every `monobase ...` command in the README's command-line block."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("monobase ")]
+
+
+def test_readme_usage_lines_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "specs.jsonl").write_text(
+        '{"n":7,"a":2,"b":4,"c":2}\n{"n":5,"template":"pc","c":5}\n{"n":5,"a":0,"b":0,"c":-7}\n'
+    )
+    commands = _readme_usage_lines()
+    assert len(commands) >= 7
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2), (argv, err)
+
+
+def test_readme_seed_example_exit_codes(capsys):
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    match = re.search(
+        r"\(`(analyze [^`]+)` is `unknown` with `--seed (\d+)` and `yes` with `--seed (\d+)`\)",
+        text,
+    )
+    assert match, "seed example not found in README.md"
+    argv = shlex.split(match.group(1))
+    code, out, _ = run(capsys, *argv, "--seed", match.group(2))
+    assert code == 2 and "monogenic: unknown" in out
+    code, out, _ = run(capsys, *argv, "--seed", match.group(3))
+    assert code == 0 and "monogenic: yes" in out
 
 
 def test_help_exits_zero(capsys):
@@ -309,16 +349,6 @@ def test_oracle_command(capsys):
     assert code == 1 and "not prime" in err
     code, _, err = run(capsys, "oracle", "--poly", "1,2", "--p", "2")
     assert code == 1 and "monic" in err
-
-
-def test_binomial_command(capsys):
-    code, doc, _ = run_json(capsys, "binomial", "--n", "5", "--c", "7")
-    assert code == 0
-    assert doc["result"] == {"status": "not_monogenic", "witness": 5}
-    code, out, _ = run(capsys, "binomial", "--n", "5", "--c", "2")
-    assert code == 0 and "monogenic" in out
-    code, _, err = run(capsys, "binomial", "--n", "5", "--c", "0")
-    assert code == 1
 
 
 def test_batch_command(capsys, tmp_path):

@@ -5,13 +5,12 @@ import random
 
 import pytest
 
-from helpers import random_specs
+from helpers import binomial_integral_basis, random_specs
 from monobase import (
     CaseTag,
     QuadrinomialSpec,
     ReduciblePolynomialError,
     analyze,
-    binomial_integral_basis,
     dedekind_divides_index,
     factor_integer,
     index_criteria,
@@ -20,7 +19,7 @@ from monobase import (
     shared_support_fastpath,
 )
 from monobase.index_criteria import CriterionScopeError
-from monobase.integer_core import EffortConfig
+from monobase.integer_core import DEFAULT_EFFORT, EffortConfig
 
 # One prime in each case: (spec, p, tag, name of the private rule).
 CASE_FIXTURES = (
@@ -154,26 +153,36 @@ def test_every_case_tag_reached_by_sampler():
     assert seen == set(CaseTag)
 
 
+def _binomial(n, c, effort=DEFAULT_EFFORT):
+    """analyze on x^n - c, the spec (n, 0, 0, -c): (monogenic, failing primes)."""
+    rep = analyze(QuadrinomialSpec(n, 0, 0, -c), effort)
+    return rep.monogenic, [v.p for v in rep.prime_verdicts if not v.case.passes]
+
+
 def test_binomial_integral_basis_known_values():
+    # The classical criterion, now a test oracle, and analyze on x^n - c.
     for c in (2, 3, -2):
-        assert binomial_integral_basis(5, c).status == "monogenic", c
-    v = binomial_integral_basis(5, 7)
-    assert v.status == "not_monogenic" and v.witness == 5  # 25 | 7^5 - 7
-    v = binomial_integral_basis(3, 10)
-    assert v.status == "not_monogenic" and v.witness == 3  # 10 = 1 mod 9
-    v = binomial_integral_basis(3, 4)
-    assert v.status == "not_monogenic" and v.witness == 2  # 4 is not squarefree
-    assert binomial_integral_basis(2, -1).status == "monogenic"  # Gaussian integers
+        assert binomial_integral_basis(5, c) == ("monogenic", None), c
+        assert _binomial(5, c) == ("yes", []), c
+    for n, c, p in (
+        (5, 7, 5),  # 25 | 7^5 - 7
+        (3, 10, 3),  # 10 = 1 mod 9
+        (3, 4, 2),  # 4 is not squarefree
+    ):
+        assert binomial_integral_basis(n, c) == ("not_monogenic", p)
+        assert _binomial(n, c) == ("no", [p])
+    # Gaussian integers: the oracle covers n = 2, QuadrinomialSpec does not.
+    assert binomial_integral_basis(2, -1) == ("monogenic", None)
 
 
 def test_binomial_integral_basis_validation_and_unknown():
-    with pytest.raises(ValueError):
-        binomial_integral_basis(1, 5)
-    with pytest.raises(ValueError):
-        binomial_integral_basis(4, 0)
+    with pytest.raises(ValueError, match="degree must be at least 3"):
+        QuadrinomialSpec(2, 0, 0, 1)
+    with pytest.raises(ValueError, match="constant term must be nonzero"):
+        QuadrinomialSpec(4, 0, 0, 0)
     effort = EffortConfig(trial_division_bound=10, rho_iteration_budget=0)
     big = (2**89 - 1) * (2**107 - 1)  # squarefreeness cannot be settled
-    assert binomial_integral_basis(3, big, effort).status == "unknown"
+    assert _binomial(3, big, effort) == ("unknown", [])
 
 
 def test_shared_support_fastpath_applicability():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +17,7 @@ from monobase import (
     p_valuation,
     squarefree_status,
 )
+from monobase import integer_core
 from monobase.integer_core import (
     _BLOCK_SIZE,
     DEFAULT_EFFORT,
@@ -229,6 +231,48 @@ def test_squarefree_square_cofactor_is_refuted_despite_budget():
     effort = EffortConfig(trial_division_bound=10, rho_iteration_budget=0)
     st_ = squarefree_status(p * p, effort)
     assert st_.status == "not_squarefree" and st_.witness == p
+
+
+def test_perfect_power_cofactors_are_peeled_without_rho():
+    # Rho cannot split the power of a large prime; the k-th root test can.
+    p = 2**89 - 1
+    effort = EffortConfig(trial_division_bound=10, rho_iteration_budget=0)
+    for k in (2, 3):
+        fac = factor_integer(p**k, effort)
+        assert fac.is_complete and fac.factors == ((p, k),)
+    assert squarefree_status(p**3, effort) == SquarefreeStatus("not_squarefree", p)
+    fac = factor_integer(-(3**4) * p**6, effort)
+    assert fac.is_complete and fac.factors == ((3, 4), (p, 6)) and fac.sign == -1
+
+
+def test_square_of_unsplit_composite_stays_unknown():
+    # The root p * q is peeled but rho, with no budget, cannot split it.
+    effort = EffortConfig(trial_division_bound=10, rho_iteration_budget=0)
+    m = ((2**89 - 1) * (2**107 - 1)) ** 2
+    fac = factor_integer(m, effort)
+    assert fac.factors == () and fac.cofactor == m
+    assert squarefree_status(m, effort) == SquarefreeStatus("unknown")
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_rng_keys_of_long_inputs_stay_under_the_default_digit_limit(monkeypatch):
+    # The CLI lifts the limit for the whole process; restore the default.
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        # One real Miller-Rabin round on a 14,000-bit number takes seconds;
+        # the stub keeps the key, which is built before any round, in the test.
+        monkeypatch.setattr(integer_core, "_mr_composite_witness", lambda n, a, d, s: True)
+        assert not is_prime(3**9100 + 2)
+        monkeypatch.undo()
+        # 4,305 digits; the rho key is built from the whole input.
+        m = 2**14300 * 1000003 * 1000033
+        fac = factor_integer(m, EffortConfig(trial_division_bound=1000))
+        assert fac.is_complete and fac.factors == ((2, 14300), (1000003, 1), (1000033, 1))
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_squarefree_unknown_on_unsplit_composite():
