@@ -5,6 +5,10 @@ bound was hit), 1 for invalid input, usage errors included.  --json emits a
 single document with a schema_version field; the human-readable output
 carries the same facts.
 
+Only analyze, search and batch take the effort flags (--seed, else
+MONOBASE_SEED; --trial-division-bound; --rho-budget).  oracle and selftest
+run at DEFAULT_EFFORT, where no flag could change their output.
+
 Polynomials on the command line are comma-separated coefficients in
 ascending degree order ("2,4,2,0,0,0,0,1" is x^7 + 2x^2 + 4x + 2).  A Unicode
 minus sign is accepted anywhere a '-' is.
@@ -65,23 +69,18 @@ def parse_poly(text: str) -> ZPoly:
     return ZPoly(tuple(_parse_int(p) for p in parts))
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("MONOBASE_SEED")
-    if env is not None:
+def _effort(args: argparse.Namespace) -> EffortConfig:
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("MONOBASE_SEED", str(DEFAULT_SEED))
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise CliError(f"MONOBASE_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
-
-
-def _effort(args: argparse.Namespace) -> EffortConfig:
     return EffortConfig(
         trial_division_bound=args.trial_division_bound,
         rho_iteration_budget=args.rho_budget,
-        rng_seed=_resolve_seed(args),
+        rng_seed=seed,
     )
 
 
@@ -115,7 +114,7 @@ def _spec_from_args(args: argparse.Namespace) -> QuadrinomialSpec:
             raise CliError("--template requires --c")
         if args.a is not None or args.b is not None:
             raise CliError("--template conflicts with explicit --a/--b")
-        return FamilyTemplate(args.n, args.template).spec(args.c)
+        return FamilyTemplate(args.n).spec(args.c)
     if args.a is None or args.b is None or args.c is None:
         raise CliError("provide --a --b --c, or --template with --c")
     return QuadrinomialSpec(args.n, args.a, args.b, args.c)
@@ -164,7 +163,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     effort = _effort(args)
     if args.c_min > args.c_max:
         raise CliError("--c-min must not exceed --c-max")
-    entries = search_family(FamilyTemplate(args.n, args.template), range(args.c_min, args.c_max + 1), effort)
+    entries = search_family(FamilyTemplate(args.n), range(args.c_min, args.c_max + 1), effort)
     lines = []
     for e in entries:
         if e.skipped:
@@ -183,13 +182,8 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    effort = _effort(args)
     f = parse_poly(args.poly)
-    if f.is_zero or not f.is_monic:
-        raise CliError("oracle requires a monic polynomial")
-    if f.degree < 1:
-        raise CliError("oracle requires degree >= 1")
-    divides, witness = dedekind_divides_index(f, args.p, seed=effort.rng_seed)
+    divides, witness = dedekind_divides_index(f, args.p)
     lines = [f"f = {f}", f"p = {args.p}"]
     for g, e in witness.factorization.factors:
         lines.append(f"  factor: ({g})^{e}")
@@ -202,7 +196,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         lines.append("p does not divide the index")
     result = {"poly": list(f.coeffs), "p": args.p, "divides_index": divides}
     result.update(witness.to_dict())
-    doc = _document("oracle", effort, result, [])
+    doc = _document("oracle", DEFAULT_EFFORT, result, [])
     _emit(doc, args.json, lines)
     return EXIT_DECIDED
 
@@ -240,7 +234,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CliError(f"line {lineno}: invalid JSON ({exc})") from None
         try:
             if not isinstance(obj, dict):
@@ -249,7 +243,9 @@ def cmd_batch(args: argparse.Namespace) -> int:
             if "template" in obj:
                 if "a" in obj or "b" in obj:
                     raise ValueError("template conflicts with explicit a/b")
-                spec = FamilyTemplate(n, obj["template"]).spec(c)
+                if obj["template"] != "pc":
+                    raise ValueError(f"unknown template rule {obj['template']!r}")
+                spec = FamilyTemplate(n).spec(c)
             else:
                 spec = QuadrinomialSpec(n, _json_int(obj, "a"), _json_int(obj, "b"), c)
         except (KeyError, TypeError, ValueError) as exc:
@@ -270,7 +266,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    effort = _effort(args)
     failures = []
 
     def check(label: str, ok: bool) -> None:
@@ -280,7 +275,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
     trio = {2: ("no", 3), 5: ("yes", 1), 7: ("no", 11)}
     for c, (expected, index) in trio.items():
-        report = analyze(QuadrinomialSpec(7, c, 2 * c, c), effort)
+        report = analyze(QuadrinomialSpec(7, c, 2 * c, c))
         check(
             f"x^7 + {c}(x+1)^2 monogenic={expected} index={index}",
             report.monogenic == expected
@@ -293,7 +288,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         QuadrinomialSpec(4, 3, 6, 3),
         QuadrinomialSpec(6, -1, -4, -4),
     ):
-        bad = cross_check_with_dedekind(spec, effort)
+        bad = cross_check_with_dedekind(spec)
         check(f"case tests match Dedekind for {spec.polynomial()}", not bad)
     return EXIT_DECIDED if not failures else EXIT_INVALID
 
@@ -330,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="sweep a template family over a parameter range")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--template", choices=["pc"], default="pc")
     p.add_argument("--c-min", type=int, required=True, dest="c_min")
     p.add_argument("--c-max", type=int, required=True, dest="c_max")
     _add_effort_flags(p)
@@ -339,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="run the Dedekind criterion on any monic polynomial")
     p.add_argument("--poly", required=True, help="coefficients, ascending degree")
     p.add_argument("--p", type=int, required=True)
-    _add_effort_flags(p)
+    p.add_argument("--json", action="store_true", help="emit a JSON document")
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("batch", help="analyze JSON-lines specs from a file or stdin")
@@ -348,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("selftest", help="run built-in cross checks")
-    _add_effort_flags(p)
     p.set_defaults(func=cmd_selftest)
 
     return parser
@@ -356,8 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # Python 3.10.7+ refuses to print ints of more than 4300 digits by default;
-    # discriminants of large specs exceed that.
-    if hasattr(sys, "set_int_max_str_digits"):
+    # discriminants of large specs exceed that.  The limit is lifted for this
+    # call only, so a caller in the same process keeps its own.
+    has_limit = hasattr(sys, "set_int_max_str_digits")
+    if has_limit:
+        previous_limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
@@ -365,6 +361,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if has_limit:
+            sys.set_int_max_str_digits(previous_limit)
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 generate_spec builds (a, b, c) = (u*w**2, 2*u*v*w, u*v**2), which satisfies
 b**2 = 4ac identically, so it sweeps the admissible surface without any
-root-finding.  FamilyTemplate names a one-parameter slice of that surface;
-its one rule, "pc", is (a, b, c) = (c, 2c, c), i.e. x**n + c*(x + 1)**2.
+root-finding.  FamilyTemplate is the slice the command line calls "pc":
+(a, b, c) = (c, 2c, c), i.e. x**n + c*(x + 1)**2.
 search_family sweeps a template over c, skips inadmissible c with a reason,
 and keeps the full analyze() report of every other c.
 """
@@ -19,14 +19,11 @@ from .report import AnalysisReport, IndexStatus, ReduciblePolynomialError, analy
 
 @dataclass(frozen=True)
 class FamilyTemplate:
-    """A one-parameter family: degree plus a named coefficient rule."""
+    """The one-parameter family x**n + c*(x + 1)**2 of degree n."""
 
     n: int
-    rule: str = "pc"
 
     def __post_init__(self) -> None:
-        if self.rule != "pc":
-            raise ValueError(f"unknown template rule {self.rule!r}")
         if self.n < 3:
             raise ValueError("degree must be at least 3")
 

@@ -301,25 +301,25 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
                 g //= p
         if g > 1:
             found.add(g)
-    if rest > 1:
-        if rest < effort.trial_division_bound**2 or is_prime(rest, seed=effort.rng_seed):
-            found.add(rest)
-        else:
+    # rest has no prime up to the bound, or is below the next prime squared:
+    # either way a piece below the bound squared is prime.
+    rng = None
+    budget = [effort.rho_iteration_budget]
+    stack = [rest] if rest > 1 else []
+    while stack:
+        x = stack.pop()
+        if x < effort.trial_division_bound**2 or is_prime(x, seed=effort.rng_seed):
+            found.add(x)
+            continue
+        root = _perfect_power_root(x, effort.trial_division_bound)
+        if root is not None:
+            stack.append(root)
+            continue
+        if rng is None:
             rng = random.Random(f"rho:{effort.rng_seed}:{_key(n)}")
-            budget = [effort.rho_iteration_budget]
-            stack = [rest]
-            while stack:
-                x = stack.pop()
-                if is_prime(x, seed=effort.rng_seed):
-                    found.add(x)
-                    continue
-                root = _perfect_power_root(x, effort.trial_division_bound)
-                if root is not None:
-                    stack.append(root)
-                    continue
-                d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
-                if d is not None:
-                    stack.extend((d, x // d))
+        d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
+        if d is not None:
+            stack.extend((d, x // d))
     # Recompute exponents from n itself: what rho could not split is left in
     # the cofactor, which stays coprime to every listed prime even when rho
     # produced overlapping composite splits.

@@ -2,6 +2,7 @@
 
 import random
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -126,6 +127,21 @@ def time_limit(seconds):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
+def int_digit_limit(digits):
+    """Python's int-to-str digit limit set to digits (0: none) in the block;
+    a no-op on Pythons without the limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def naive_is_prime(n):

@@ -1,5 +1,6 @@
 """Command line behavior: parsing, exit codes, JSON documents, batch mode."""
 
+import argparse
 import io
 import json
 import re
@@ -9,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import EXAMPLE_TRIO, time_limit, trio_spec
+from helpers import EXAMPLE_TRIO, int_digit_limit, time_limit, trio_spec
 from monobase import cross_check_with_dedekind, integer_core, polynomials
-from monobase.cli import CliError, main, parse_poly
+from monobase.cli import CliError, build_parser, main, parse_poly
 from monobase.discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from monobase.polynomials import ZPoly
 
@@ -248,7 +249,9 @@ def test_analyze_reducible_is_invalid(capsys):
         (["analyze", "--n", "2", "--a", "0", "--b", "0", "--c", "1"],
          "degree must be at least 3"),
         (["oracle", "--poly=-5,0,1", "--p", "4"], "4 is not prime"),
-        (["oracle", "--poly", "1,2", "--p", "2"], "oracle requires a monic polynomial"),
+        # The oracle leaves its input checks to the Dedekind layer.
+        (["oracle", "--poly", "1,2", "--p", "2"],
+         "Dedekind criterion requires a monic polynomial"),
         (["analyze", "--n", "7", "--a", "2", "--b", "4", "--c", "2",
           "--trial-division-bound", "10000000000"],
          "trial_division_bound must be at most 10000000"),
@@ -256,11 +259,48 @@ def test_analyze_reducible_is_invalid(capsys):
         (["analyze", "--n", "x"], "argument --n: invalid int value: 'x'"),
         (["search", "--n", "5", "--c-min", "1"],
          "the following arguments are required: --c-max"),
+        (["oracle", "--poly", "1", "--p", "2"], "degree must be at least 1"),
+        # Options that could not change the output are gone, and refused.
+        (["oracle", "--poly=-5,0,1", "--p", "2", "--seed", "5"],
+         "unrecognized arguments: --seed 5"),
+        (["oracle", "--poly=-5,0,1", "--p", "2", "--rho-budget", "5"],
+         "unrecognized arguments: --rho-budget 5"),
+        (["selftest", "--json"], "unrecognized arguments: --json"),
+        (["search", "--n", "5", "--c-min", "1", "--c-max", "3", "--template", "pc"],
+         "unrecognized arguments: --template pc"),
     ],
 )
 def test_invalid_input_error_lines(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_each_command_takes_only_options_that_act():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [s for a in sub._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, sub in commands.choices.items()
+    }
+    effort = ["--json", "--seed", "--trial-division-bound", "--rho-budget"]
+    assert options == {
+        "analyze": ["--n", "--a", "--b", "--c", "--template", *effort],
+        "search": ["--n", "--c-min", "--c-max", *effort],
+        "oracle": ["--poly", "--p", "--json"],
+        "batch": ["--input", *effort],
+        "selftest": [],
+    }
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_main_restores_the_int_digit_limit(capsys):
+    with int_digit_limit(4300):
+        assert main(["oracle", "--poly=-5,0,1", "--p", "2"]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+        assert main(["analyze", "--n", "x"]) == 1
+        assert sys.get_int_max_str_digits() == 4300
 
 
 def _readme_usage_lines():
@@ -305,14 +345,17 @@ def test_help_exits_zero(capsys):
 
 def test_analyze_prints_discriminants_beyond_the_int_digit_limit(capsys):
     # disc = -27 * 2**14402 has 4,337 digits, past the default str(int) cap.
+    # main lifts the limit for its own output; reading the output back here
+    # needs it lifted too.
     spec = QuadrinomialSpec(3, 0, 0, 2**7201)
-    with time_limit(30):
+    with time_limit(30), int_digit_limit(4300):
         code, out, err = run(
             capsys, "analyze", "--n", "3", "--a", "0", "--b", "0",
             "--c", str(spec.c), "--json",
         )
     assert (code, err) == (0, "")
-    assert json.loads(out)["result"]["disc_poly"] == quadrinomial_discriminant(spec)
+    with int_digit_limit(0):
+        assert json.loads(out)["result"]["disc_poly"] == quadrinomial_discriminant(spec)
 
 
 @pytest.mark.parametrize("p", ["-3", "-2", "0", "1"])
@@ -366,6 +409,12 @@ def test_batch_command(capsys, tmp_path):
     code, _, err = run(capsys, "batch", "--input", str(path))
     assert code == 1 and "line 2: invalid JSON" in err
 
+    # Nesting too deep for the JSON decoder is invalid JSON, not a traceback.
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    code, out, err = run(capsys, "batch", "--input", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: invalid JSON (") and err.count("\n") == 1
+
     path.write_text('{"n": 5, "a": 49, "b": 84, "c": 36}\n')
     code, _, err = run(capsys, "batch", "--input", str(path))
     assert code == 1 and "line 1:" in err and "reducible" in err
@@ -399,6 +448,7 @@ def test_batch_command(capsys, tmp_path):
         ("7", "expected a JSON object"),
         ('{"n": 7, "c": 2}', "missing key 'a'"),
         ('{"template": "pc", "c": 2}', "missing key 'n'"),
+        ('{"n": 7, "template": "cubic", "c": 5}', "unknown template rule 'cubic'"),
     ):
         path.write_text(bad + "\n")
         code, out, err = run(capsys, "batch", "--input", str(path))

@@ -19,11 +19,8 @@ def _is_squarefree(m):
 
 def test_template_validation_and_spec():
     t = FamilyTemplate(7)
-    assert t.rule == "pc"
     assert t.spec(5) == QuadrinomialSpec(7, 5, 10, 5)
     assert t.spec(-3) == QuadrinomialSpec(7, -3, -6, -3)
-    with pytest.raises(ValueError):
-        FamilyTemplate(7, "cubic")
     with pytest.raises(ValueError):
         FamilyTemplate(2)
 

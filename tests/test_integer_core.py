@@ -7,7 +7,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import naive_factor, naive_is_prime
+from helpers import int_digit_limit, naive_factor, naive_is_prime
 from monobase import (
     EffortConfig,
     IntFactorization,
@@ -258,10 +258,7 @@ def test_square_of_unsplit_composite_stays_unknown():
     not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
 )
 def test_rng_keys_of_long_inputs_stay_under_the_default_digit_limit(monkeypatch):
-    # The CLI lifts the limit for the whole process; restore the default.
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    try:
+    with int_digit_limit(4300):
         # One real Miller-Rabin round on a 14,000-bit number takes seconds;
         # the stub keeps the key, which is built before any round, in the test.
         monkeypatch.setattr(integer_core, "_mr_composite_witness", lambda n, a, d, s: True)
@@ -271,8 +268,21 @@ def test_rng_keys_of_long_inputs_stay_under_the_default_digit_limit(monkeypatch)
         m = 2**14300 * 1000003 * 1000033
         fac = factor_integer(m, EffortConfig(trial_division_bound=1000))
         assert fac.is_complete and fac.factors == ((2, 14300), (1000003, 1), (1000033, 1))
-    finally:
-        sys.set_int_max_str_digits(previous)
+
+
+def test_leftover_is_tested_for_primality_once(monkeypatch):
+    m = (2**89 - 1) * (2**107 - 1)
+    original = integer_core.is_prime
+    calls = []
+
+    def counting(x, **kwargs):
+        calls.append(x)
+        return original(x, **kwargs)
+
+    monkeypatch.setattr(integer_core, "is_prime", counting)
+    fac = factor_integer(m, EffortConfig(rho_iteration_budget=0))
+    assert fac.factors == () and fac.cofactor == m
+    assert calls.count(m) == 1
 
 
 def test_squarefree_unknown_on_unsplit_composite():
