@@ -35,16 +35,12 @@ EXIT_INVALID = 1
 EXIT_UNKNOWN = 2
 
 
-class CliError(Exception):
-    """Invalid input: reported on stderr, exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Reports usage errors as CliError, so they exit 1 like any invalid
+    """Reports usage errors as ValueError, so they exit 1 like any invalid
     input instead of argparse's 2, the code reserved for Unknown."""
 
     def error(self, message: str):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _parse_int(text: str) -> int:
@@ -52,7 +48,7 @@ def _parse_int(text: str) -> int:
     try:
         return int(normalized)
     except ValueError:
-        raise CliError(f"not an integer: {text!r}") from None
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
 def parse_poly(text: str) -> ZPoly:
@@ -63,9 +59,9 @@ def parse_poly(text: str) -> ZPoly:
     if len(parts) > 1 and not parts[-1].strip():
         parts.pop()
     if not any(p.strip() for p in parts):
-        raise CliError("empty polynomial")
+        raise ValueError("empty polynomial")
     if not all(p.strip() for p in parts):
-        raise CliError(f"empty coefficient in {text!r}")
+        raise ValueError(f"empty coefficient in {text!r}")
     return ZPoly(tuple(_parse_int(p) for p in parts))
 
 
@@ -76,7 +72,7 @@ def _effort(args: argparse.Namespace) -> EffortConfig:
         try:
             seed = int(env)
         except ValueError:
-            raise CliError(f"MONOBASE_SEED must be an integer, got {env!r}") from None
+            raise ValueError(f"MONOBASE_SEED must be an integer, got {env!r}") from None
     return EffortConfig(
         trial_division_bound=args.trial_division_bound,
         rho_iteration_budget=args.rho_budget,
@@ -111,12 +107,12 @@ def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
 def _spec_from_args(args: argparse.Namespace) -> QuadrinomialSpec:
     if args.template is not None:
         if args.c is None:
-            raise CliError("--template requires --c")
+            raise ValueError("--template requires --c")
         if args.a is not None or args.b is not None:
-            raise CliError("--template conflicts with explicit --a/--b")
+            raise ValueError("--template conflicts with explicit --a/--b")
         return FamilyTemplate(args.n).spec(args.c)
     if args.a is None or args.b is None or args.c is None:
-        raise CliError("provide --a --b --c, or --template with --c")
+        raise ValueError("provide --a --b --c, or --template with --c")
     return QuadrinomialSpec(args.n, args.a, args.b, args.c)
 
 
@@ -162,7 +158,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_search(args: argparse.Namespace) -> int:
     effort = _effort(args)
     if args.c_min > args.c_max:
-        raise CliError("--c-min must not exceed --c-max")
+        raise ValueError("--c-min must not exceed --c-max")
     entries = search_family(FamilyTemplate(args.n), range(args.c_min, args.c_max + 1), effort)
     lines = []
     for e in entries:
@@ -209,7 +205,7 @@ def _iter_batch_lines(path: str):
             with open(path, encoding="utf-8") as fh:
                 yield from fh
         except OSError as exc:
-            raise CliError(f"cannot read {path}: {exc}") from None
+            raise ValueError(f"cannot read {path}: {exc}") from None
 
 
 def _json_int(obj: dict, key: str) -> int:
@@ -229,14 +225,12 @@ def cmd_batch(args: argparse.Namespace) -> int:
     lines_out = []
     any_unknown = False
     for lineno, raw in enumerate(_iter_batch_lines(args.input), start=1):
-        raw = raw.strip()
+        # A leading byte-order mark (PowerShell 5 writes one) is not JSON.
+        raw = raw.removeprefix("\ufeff").strip()
         if not raw:
             continue
         try:
             obj = json.loads(raw)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CliError(f"line {lineno}: invalid JSON ({exc})") from None
-        try:
             if not isinstance(obj, dict):
                 raise ValueError("expected a JSON object")
             n, c = _json_int(obj, "n"), _json_int(obj, "c")
@@ -248,12 +242,14 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 spec = FamilyTemplate(n).spec(c)
             else:
                 spec = QuadrinomialSpec(n, _json_int(obj, "a"), _json_int(obj, "b"), c)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"line {lineno}: invalid JSON ({exc})") from None
         except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"line {lineno}: bad spec ({exc})") from None
+            raise ValueError(f"line {lineno}: bad spec ({exc})") from None
         try:
             report = analyze(spec, effort)
         except ReduciblePolynomialError as exc:
-            raise CliError(f"line {lineno}: {exc}") from None
+            raise ValueError(f"line {lineno}: {exc}") from None
         any_unknown = any_unknown or report.monogenic == "unknown"
         results.append(report.to_dict())
         lines_out.append(
@@ -358,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CliError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     finally:

@@ -56,7 +56,7 @@ def compute_M(f: ZPoly, p: int, factorization: FpPolyFactorization) -> FpPoly:
                 "f - prod(lifts) is not divisible by p: broken factorization"
             )
         lifted.append(q)
-    return FpPoly.from_int_coeffs(lifted, p)
+    return FpPoly(p, tuple(lifted))
 
 
 @dataclass(frozen=True)

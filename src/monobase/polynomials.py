@@ -315,10 +315,6 @@ class FpPoly:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
-    @classmethod
-    def from_int_coeffs(cls, coeffs, p: int) -> "FpPoly":
-        return cls(p, tuple(int(c) for c in coeffs))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -477,11 +473,8 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
     if f.degree < 1:
         raise ValueError("degree must be at least 1")
     fbar = _monic_reduction(f, p)[1]
-    parts = _fp_sqf_list(fbar, p)
-    if all(mult == 1 for _, mult in parts):
-        return False
     g = [1]
-    for part, _ in parts:
+    for part, _ in _fp_sqf_list(fbar, p):
         g = _fp_mul(g, part, p)
     h = _fp_quo(fbar, g, p)
     F = []
@@ -490,7 +483,7 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
         if r:
             raise ArithmeticError("f - g*h is not divisible by p: broken radical")
         F.append(q % p)
-    # F = 0 mod p leaves gcd(g, h), which has positive degree here.
+    # h = 1 when f mod p is squarefree; F = 0 mod p leaves gcd(g, h).
     return len(_fp_gcd(_fp_trim(F), _fp_gcd(g, h, p), p)) > 1
 
 

@@ -3,16 +3,18 @@
 import argparse
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from helpers import EXAMPLE_TRIO, int_digit_limit, time_limit, trio_spec
-from monobase import cross_check_with_dedekind, integer_core, polynomials
-from monobase.cli import CliError, build_parser, main, parse_poly
+from monobase import cli, cross_check_with_dedekind, integer_core, polynomials
+from monobase.cli import build_parser, main, parse_poly
 from monobase.discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from monobase.polynomials import ZPoly
 
@@ -39,13 +41,13 @@ def test_parse_poly_ascending_order():
 
 
 def test_parse_poly_rejects_garbage(capsys):
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError):
         parse_poly("")
-    with pytest.raises(CliError):
+    with pytest.raises(ValueError):
         parse_poly("1,x,2")
     # An empty field would shift every later degree: "1,,1" is not x + 1.
     for text in ("1,,1", ",1", "1,2,,", " , "):
-        with pytest.raises(CliError, match="empty"):
+        with pytest.raises(ValueError, match="empty"):
             parse_poly(text)
     code, out, err = run(capsys, "oracle", "--poly", "1,,1", "--p", "2")
     assert code == 1 and out == ""
@@ -268,6 +270,7 @@ def test_analyze_reducible_is_invalid(capsys):
         (["selftest", "--json"], "unrecognized arguments: --json"),
         (["search", "--n", "5", "--c-min", "1", "--c-max", "3", "--template", "pc"],
          "unrecognized arguments: --template pc"),
+        (["analyze", "--n", "7", "--template", "pc"], "--template requires --c"),
     ],
 )
 def test_invalid_input_error_lines(capsys, argv, message):
@@ -464,6 +467,54 @@ def test_batch_reads_stdin(capsys, monkeypatch):
     code, doc, _ = run_json(capsys, "batch")
     assert code == 0
     assert doc["result"][0]["index"] == {"kind": "exact", "value": 11}
+
+
+BOM_LINES = '\ufeff{"n": 7, "template": "pc", "c": 7}\n{"n": 7, "a": 2, "b": 4, "c": 2}\n'
+
+
+def test_batch_accepts_a_byte_order_mark_in_a_file(capsys, tmp_path):
+    # PowerShell 5 writes UTF-8 files with a leading U+FEFF.
+    path = tmp_path / "specs.jsonl"
+    path.write_text(BOM_LINES, encoding="utf-8")
+    code, doc, err = run_json(capsys, "batch", "--input", str(path))
+    assert (code, err) == (0, "")
+    assert [r["monogenic"] for r in doc["result"]] == ["no", "no"]
+
+
+def test_batch_accepts_a_byte_order_mark_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(BOM_LINES))
+    code, doc, err = run_json(capsys, "batch")
+    assert (code, err) == (0, "")
+    assert doc["result"][0]["index"] == {"kind": "exact", "value": 11}
+
+
+def test_search_exits_two_when_a_verdict_is_unknown(capsys):
+    # c = 1000003 is prime, but the discriminant cannot be factored this cheaply.
+    code, out, err = run(
+        capsys, "search", "--n", "5", "--c-min", "1000003", "--c-max", "1000003",
+        "--trial-division-bound", "50", "--rho-budget", "0",
+    )
+    assert (code, out, err) == (2, "c = 1000003: monogenic = unknown, index = unknown\n", "")
+
+
+def test_selftest_reports_failures_and_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "cross_check_with_dedekind", lambda spec: [2])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    lines = out.splitlines()
+    assert [ln[:4] for ln in lines] == ["PASS"] * 3 + ["FAIL"] * 4
+    assert lines[3] == "FAIL  case tests match Dedekind for x^7 + 2*x^2 + 4*x + 2"
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["oracle", "--poly=-5,0,1", "--p", "2", "--json"]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "monobase.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(capsys, *argv)[1]
 
 
 def test_selftest_passes(capsys):

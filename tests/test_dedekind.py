@@ -152,10 +152,8 @@ def _dedekind_with_random_lifts(f: ZPoly, p: int, rng: random.Random) -> bool:
         q, r = divmod(coef, p)
         assert r == 0  # the product reduces to f mod p by construction
         m_coeffs.append(q)
-    mbar = FpPoly.from_int_coeffs(m_coeffs, p)
-    return any(
-        e > 1 and FpPoly.from_int_coeffs(g.coeffs, p).divides(mbar) for g, e in lifts
-    )
+    mbar = FpPoly(p, tuple(m_coeffs))
+    return any(e > 1 and FpPoly(p, g.coeffs).divides(mbar) for g, e in lifts)
 
 
 def test_lift_independence():

@@ -55,6 +55,8 @@ def test_search_family_skip_reasons():
     assert by_c[1].skipped and by_c[1].reason == "c = 1 is excluded"
     assert by_c[-1].skipped and by_c[-1].reason == "c = -1 is excluded"
     assert by_c[12].skipped and by_c[12].reason == "c is divisible by 2**2"
+    assert by_c[12].report is None and by_c[12].monogenic is None and by_c[12].index is None
+    assert by_c[12].to_dict() == {"c": 12, "skipped": True, "reason": "c is divisible by 2**2"}
     assert not by_c[5].skipped
     assert by_c[5].monogenic == "yes"
     assert by_c[5].index.kind == "exact" and by_c[5].index.value == 1
@@ -89,24 +91,17 @@ def test_search_family_analyzes_each_admissible_spec_once(monkeypatch):
     assert [e.report for e in entries[2:]] == [real(spec) for spec in calls]
 
 
-@pytest.mark.parametrize(
-    "status, reason",
-    [
-        (
-            report.IrreducibilityStatus("reducible", "rational_root", {"root": -1}),
-            "reducible: {'root': -1}",
-        ),
-        (report.IrreducibilityStatus("unverified"), "irreducibility unverified"),
-    ],
-)
-def test_search_family_irreducibility_skip_reasons(monkeypatch, status, reason):
-    # The pc template is Eisenstein at every prime of a squarefree c, so only
-    # a stubbed check reaches these branches.
-    monkeypatch.setattr(report, "irreducibility_check", lambda *_: status)
-    (entry,) = search_family(FamilyTemplate(5), [5])
-    assert entry.skipped and entry.reason == reason
-    assert entry.report is None and entry.monogenic is None and entry.index is None
-    assert entry.to_dict() == {"c": 5, "skipped": True, "reason": reason}
+def test_pc_spec_is_eisenstein_at_the_smallest_prime_of_squarefree_c():
+    # Why search_family never meets a refused or unverified pc spec.
+    for c in range(-300, 301):
+        if c in (0, 1, -1) or not _is_squarefree(c):
+            continue
+        smallest = naive_factor(abs(c))[0][0]
+        for n in range(3, 13):
+            status = report.irreducibility_check(FamilyTemplate(n).spec(c).polynomial())
+            assert (status.status, status.method, status.detail) == (
+                "irreducible", "eisenstein", {"prime": smallest},
+            ), (n, c)
 
 
 def test_search_family_undecided_squarefreeness():

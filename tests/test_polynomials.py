@@ -107,7 +107,7 @@ def test_discriminant_via_resultant_known_values():
 
 def test_fp_poly_reduction_and_ops():
     p = 7
-    f = FpPoly.from_int_coeffs((10, -1, 14), p)
+    f = FpPoly(p, (10, -1, 14))
     assert f.coeffs == (3, 6)  # 14 vanishes mod 7
     assert f.degree == 1 and f.coeffs[-1] == 6 and str(f) == "6*x + 3"
     assert FpPoly(p, (7, 14)).is_zero and FpPoly(p, ()).degree == -1
@@ -201,7 +201,7 @@ def test_factor_mod_p_reconstructs_and_is_irreducible():
             coeffs = [rng.randint(-20, 20) for _ in range(deg)] + [1]
             f = ZPoly(tuple(coeffs))
             fac = factor_mod_p(f, p)
-            assert _product(fac) == FpPoly.from_int_coeffs(f.coeffs, p)
+            assert _product(fac) == FpPoly(p, f.coeffs)
             assert sum(g.degree * e for g, e in fac.factors) == deg
             for g, e in fac.factors:
                 assert e >= 1 and g.coeffs[-1] == 1
@@ -272,7 +272,7 @@ def test_degree_pattern_detects_exactly_the_irreducibles(p):
             pattern = degree_pattern_mod_p(f, p)
             assert sum(pattern) == n
             assert (pattern == [n]) == _is_irreducible_brute(
-                FpPoly.from_int_coeffs(f.coeffs, p)
+                FpPoly(p, f.coeffs)
             ), (lower, p)
 
 
