@@ -5,26 +5,25 @@ bound was hit), 1 for invalid input, usage errors included.  --json emits a
 single document with a schema_version field; the human-readable output
 carries the same facts.
 
-Only analyze, search and batch take the effort flags (--seed, else
-MONOBASE_SEED; --trial-division-bound; --rho-budget).  oracle and selftest
-run at DEFAULT_EFFORT, where no flag could change their output.
+Only analyze, search and batch take the effort flags (--seed, default 1729;
+--trial-division-bound; --rho-budget).  oracle and selftest run at
+DEFAULT_EFFORT, where no flag could change their output.
 
-Polynomials on the command line are comma-separated coefficients in
-ascending degree order ("2,4,2,0,0,0,0,1" is x^7 + 2x^2 + 4x + 2).  A Unicode
-minus sign is accepted anywhere a '-' is.
+--poly takes comma-separated coefficients in ascending degree order
+("2,4,2,0,0,0,0,1" is x^7 + 2x^2 + 4x + 2) and accepts a Unicode minus sign
+wherever a '-' is; the integer options do not.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec
 from .families import FamilyTemplate, search_family
-from .integer_core import DEFAULT_EFFORT, DEFAULT_SEED, EffortConfig
+from .integer_core import DEFAULT_EFFORT, EffortConfig
 from .polynomials import ZPoly
 from .report import ReduciblePolynomialError, analyze, cross_check_with_dedekind
 
@@ -66,17 +65,10 @@ def parse_poly(text: str) -> ZPoly:
 
 
 def _effort(args: argparse.Namespace) -> EffortConfig:
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get("MONOBASE_SEED", str(DEFAULT_SEED))
-        try:
-            seed = int(env)
-        except ValueError:
-            raise ValueError(f"MONOBASE_SEED must be an integer, got {env!r}") from None
     return EffortConfig(
         trial_division_bound=args.trial_division_bound,
         rho_iteration_budget=args.rho_budget,
-        rng_seed=seed,
+        rng_seed=args.seed,
     )
 
 
@@ -291,7 +283,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 
 def _add_effort_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit a JSON document")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides MONOBASE_SEED)")
+    p.add_argument("--seed", type=int, default=DEFAULT_EFFORT.rng_seed, help="RNG seed")
     p.add_argument(
         "--trial-division-bound",
         type=int,

@@ -11,11 +11,14 @@ sits against a, b, c and runs that case's rule.
     p | c only                                -> P_DIVIDES_C_ONLY
     otherwise (forces p = 2, 2 coprime to ac) -> P_IS_2_COPRIME_TO_AC
 
-A verdict has passes=True when p does NOT divide the index.  The case
-hypotheses imply side conditions (e.g. p | a forces p | n); those are
-re-derived at runtime and, should one ever fail, prime_divides_index falls
-back to the general Dedekind criterion and tags the verdict source
-accordingly.
+A verdict has passes=True when p does NOT divide the index.  p must be prime
+and the discriminant passed in must be disc(f); neither is re-checked, since
+analyze and cross_check_with_dedekind pass certified primes of the
+discriminant they computed.  Then each case implies side conditions (each
+rule's docstring says why, with beta = b/2, beta**2 = ac and
+disc = +-(n**n (-c)**(n-1) - 4 (n-2)**(n-2) beta**n)); they are re-derived
+and raise ArithmeticError if one fails.  Nothing here calls the Dedekind
+criterion, the oracle these rules are checked against.
 
 The p | a only rule works with exact derived integers
 
@@ -31,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd
+from typing import ClassVar
 
-from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from .integer_core import (
     DEFAULT_EFFORT,
@@ -51,10 +54,6 @@ class CaseTag(Enum):
     P_COPRIME_TO_B = "p_coprime_to_b"
 
 
-class CriterionScopeError(ArithmeticError):
-    """A derived side condition of the selected case failed at runtime."""
-
-
 @dataclass(frozen=True)
 class CaseVerdict:
     """Outcome of one case test: passes=True means p does not divide the index."""
@@ -62,7 +61,7 @@ class CaseVerdict:
     tag: CaseTag
     passes: bool
     witnesses: dict[str, int] = field(default_factory=dict)
-    source: str = "theorem"  # "theorem" | "oracle_fallback"
+    source: ClassVar[str] = "theorem"
 
     def to_dict(self) -> dict:
         return {
@@ -83,15 +82,19 @@ def _divides_a_and_c(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, d
 
 
 def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
-    """p | a, p | b, p coprime to c.  Derived: p | n."""
+    """p | a, p | b, p coprime to c.  Derived: p | n and p | c + (-c)**(p**r).
+
+    p | beta (p | b, or v_2(beta**2) = v_2(a) for p = 2), so p | disc forces
+    p | n**n c**(n-1), hence p | n; the second is Fermat's little theorem.
+    """
     n, b, c = spec.n, spec.b, spec.c
     if n % p != 0:
-        raise CriterionScopeError("expected p | n when p | a and p coprime to c")
+        raise ArithmeticError("expected p | n when p | a and p coprime to c")
     r, _ = p_valuation(n, p)
     b1 = b // p
     c1_num = c + (-c) ** (p**r)
     if c1_num % p != 0:
-        raise CriterionScopeError("c1 is not integral")
+        raise ArithmeticError("c1 is not integral")
     c1 = c1_num // p
     if b1 % p == 0 and c1 % p != 0:
         passes = True
@@ -104,49 +107,55 @@ def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, di
 def _divides_c_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p | b, p | c, p coprime to a: p always divides the index.
 
-    Derived: p**2 | c (odd p: v_p(c) = 2*v_p(b); p = 2: v_2(b) >= 2
-    and v_2(c) = 2*v_2(b) - 2).  Then f = x**2 * (x**(n-2) + a) mod p with x
-    of multiplicity exactly two, and (f - product of coefficient-reduced
-    monic lifts)/p has constant term c/p = 0 mod p, so the repeated factor x
-    divides it: p divides the index for every value of v_p(n - 2).
+    Derived: p**2 | c, as p coprime to a gives v_p(c) = 2*v_p(beta) >= 2.
+    Then f = x**2 * (x**(n-2) + a) mod p with x of multiplicity exactly two,
+    and (f - product of coefficient-reduced monic lifts)/p has constant term
+    c/p = 0 mod p, so the repeated factor x divides it: p divides the index
+    for every value of v_p(n - 2).
     """
     n, c = spec.n, spec.c
     if c % (p * p) != 0:
-        raise CriterionScopeError("expected p**2 | c when p | c and p coprime to a")
+        raise ArithmeticError("expected p**2 | c when p | c and p coprime to a")
     l, _ = p_valuation(n - 2, p)
     vc, _ = p_valuation(c, p)
     return False, {"l": l, "vp_c": vc}
 
 
 def _two_coprime_to_ac(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
-    """p = 2 with 2 | b and a, c odd.  Derived: 2 | n and v_2(b) = 1."""
+    """p = 2 with 2 | b and a, c odd.  Derived: 2 | n and v_2(b) = 1.
+
+    beta**2 = ac is odd, so v_2(b) = 1, and then 2 | disc forces 2 | n.
+    """
     a, b, c = spec.a, spec.b, spec.c
     if spec.n % 2 != 0:
-        raise CriterionScopeError("expected 2 | n when 2 is coprime to ac")
+        raise ArithmeticError("expected 2 | n when 2 is coprime to ac")
     if (b // 2) % 2 == 0:
-        raise CriterionScopeError("expected v_2(b) = 1")
+        raise ArithmeticError("expected v_2(b) = 1")
     return a % 4 == 1 or c % 4 == 1, {}
 
 
 def _coprime_to_b(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
     """p coprime to b.  Derived: p odd, coprime to a, c and n(n-2).
 
-    Here p divides the index iff p**2 divides disc(f); the witness records
-    v_p(disc).
+    Every b is even and p coprime to beta means p coprime to ac; p | n or
+    p | n-2 would leave disc = -+4(-2)**(n-2) beta**n or +-2**n (-c)**(n-1)
+    mod p, both nonzero.  Here p divides the index iff p**2 divides disc(f);
+    the witness records v_p(disc).
     """
     if p == 2:
-        # b**2 = 4ac forces b even, so 2 never lands here for a valid spec.
-        raise CriterionScopeError("2 divides every admissible b")
+        raise ArithmeticError("2 divides every admissible b")
     if (spec.n * (spec.n - 2)) % p == 0:
-        raise CriterionScopeError("expected p coprime to n(n-2)")
+        raise ArithmeticError("expected p coprime to n(n-2)")
     v, _ = p_valuation(disc, p)
     return v < 2, {"vp_disc": v}
 
 
 def prime_divides_index(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseVerdict:
-    """Verdict for one prime p >= 2 dividing disc(f), from the rule of p's
-    case; falls back to the Dedekind criterion if a derived side condition of
-    that case unexpectedly fails."""
+    """Verdict for one prime p dividing disc(f), from the rule of p's case.
+
+    p must be prime and discriminant must be disc(f); neither is re-checked.
+    A derived side condition that fails raises ArithmeticError.
+    """
     if p < 2:
         raise ValueError("p must be at least 2")
     if discriminant % p != 0:
@@ -165,12 +174,7 @@ def prime_divides_index(spec: QuadrinomialSpec, p: int, discriminant: int) -> Ca
         tag, rule = CaseTag.P_IS_2_COPRIME_TO_AC, _two_coprime_to_ac
     else:
         raise ArithmeticError("case split is not exhaustive: impossible residues")
-    try:
-        passes, witnesses = rule(spec, p, discriminant)
-    except CriterionScopeError:
-        divides, _ = dedekind_divides_index(spec.polynomial(), p)
-        return CaseVerdict(tag, not divides, {}, source="oracle_fallback")
-    return CaseVerdict(tag, passes, witnesses)
+    return CaseVerdict(tag, *rule(spec, p, discriminant))
 
 
 @dataclass(frozen=True)

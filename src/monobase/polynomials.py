@@ -250,8 +250,6 @@ def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]
     inv = pow(b[-1], -1, p)
     rem = list(a)
     db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _fp_trim(rem)
     quo = [0] * (len(rem) - db)
     for k in range(len(rem) - 1, db - 1, -1):
         c = rem[k] * inv % p

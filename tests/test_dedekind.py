@@ -20,6 +20,10 @@ def test_quadratic_worked_examples():
     divides, wit = dedekind_divides_index(ZPoly((1, 0, 1)), 2)
     assert not divides
     assert wit.offending_index is None
+    # x^2 - 5 is irreducible mod 3: no repeated factor to offend.
+    divides, wit = dedekind_divides_index(ZPoly((-5, 0, 1)), 3)
+    assert not divides
+    assert wit.offending_factor is None
 
 
 def test_cubic_and_quintic_known_fields():

@@ -77,6 +77,9 @@ def test_double_root_test_scope_errors():
         double_root_divisibility_test(QuadrinomialSpec(5, 1, 2, 1), 3)  # 3 | n - 2
     with pytest.raises(ValueError):
         double_root_divisibility_test(spec, 1)
+    # composite p coprime to b*(n-2) that shares the factor 3 with a
+    with pytest.raises(ValueError, match="shares a factor"):
+        double_root_divisibility_test(QuadrinomialSpec(7, 3, 6, 3), 9)
 
 
 def test_pc_family_discriminant_shape():

@@ -1,5 +1,5 @@
 """Per-prime divisibility cases through prime_divides_index: case selection,
-each case rule, and the Dedekind fallback."""
+each case rule, and the derived side conditions that guard misuse."""
 
 import random
 
@@ -13,21 +13,19 @@ from monobase import (
     analyze,
     dedekind_divides_index,
     factor_integer,
-    index_criteria,
     prime_divides_index,
     quadrinomial_discriminant,
     shared_support_fastpath,
 )
-from monobase.index_criteria import CriterionScopeError
 from monobase.integer_core import DEFAULT_EFFORT, EffortConfig
 
-# One prime in each case: (spec, p, tag, name of the private rule).
+# One prime in each case: (spec, p, tag).
 CASE_FIXTURES = (
-    (QuadrinomialSpec(7, 2, 4, 2), 83, CaseTag.P_COPRIME_TO_B, "_coprime_to_b"),
-    (QuadrinomialSpec(7, 2, 4, 2), 2, CaseTag.P_DIVIDES_A_AND_C, "_divides_a_and_c"),
-    (QuadrinomialSpec(9, 648, -288, 32), 3, CaseTag.P_DIVIDES_A_ONLY, "_divides_a_only"),
-    (QuadrinomialSpec(5, 1, 6, 9), 3, CaseTag.P_DIVIDES_C_ONLY, "_divides_c_only"),
-    (QuadrinomialSpec(4, 3, 6, 3), 2, CaseTag.P_IS_2_COPRIME_TO_AC, "_two_coprime_to_ac"),
+    (QuadrinomialSpec(7, 2, 4, 2), 83, CaseTag.P_COPRIME_TO_B),
+    (QuadrinomialSpec(7, 2, 4, 2), 2, CaseTag.P_DIVIDES_A_AND_C),
+    (QuadrinomialSpec(9, 648, -288, 32), 3, CaseTag.P_DIVIDES_A_ONLY),
+    (QuadrinomialSpec(5, 1, 6, 9), 3, CaseTag.P_DIVIDES_C_ONLY),
+    (QuadrinomialSpec(4, 3, 6, 3), 2, CaseTag.P_IS_2_COPRIME_TO_AC),
 )
 
 
@@ -36,7 +34,7 @@ def _verdict(spec, p):
 
 
 def test_case_tag_decision_order():
-    for spec, p, tag, _ in CASE_FIXTURES:
+    for spec, p, tag in CASE_FIXTURES:
         assert _verdict(spec, p).tag is tag, (spec, p)
 
 
@@ -117,20 +115,22 @@ def test_case_coprime_to_b_rule():
 
 
 @pytest.mark.parametrize(
-    "spec, p, tag, rule", CASE_FIXTURES, ids=[fx[2].value for fx in CASE_FIXTURES]
+    "nabc, p, match",
+    (
+        # prime p, but a discriminant argument that is not disc(f)
+        ((7, 4, 4, 1), 2, r"expected p \| n"),
+        ((5, 5, 10, 5), 2, r"expected 2 \| n"),
+        ((7, 2, 4, 2), 7, r"coprime to n\(n-2\)"),
+        # composite p
+        ((8, 16, 8, 1), 4, "c1 is not integral"),
+        ((5, 3, 12, 12), 6, r"expected p\*\*2 \| c"),
+    ),
 )
-def test_scope_error_falls_back_to_dedekind(monkeypatch, spec, p, tag, rule):
-    theorem = _verdict(spec, p)
-
-    def out_of_scope(*args):
-        raise CriterionScopeError("forced by the test")
-
-    monkeypatch.setattr(index_criteria, rule, out_of_scope)
-    v = _verdict(spec, p)
-    assert v.source == "oracle_fallback"
-    assert v.tag is tag and v.witnesses == {}
-    divides, _ = dedekind_divides_index(spec.polynomial(), p)
-    assert v.passes == (not divides) == theorem.passes
+def test_misuse_fails_a_derived_check(nabc, p, match):
+    # Outside the contract (p prime, discriminant = disc(f)) a derived side
+    # condition fails and raises; nothing answers in its place.
+    with pytest.raises(ArithmeticError, match=match):
+        prime_divides_index(QuadrinomialSpec(*nabc), p, p)
 
 
 def test_prime_divides_index_matches_dedekind_randomized():
@@ -189,12 +189,17 @@ def test_shared_support_fastpath_applicability():
     # Same prime support, c squarefree, and the parity guard.
     assert shared_support_fastpath(QuadrinomialSpec(5, 10, 20, 10)) is not None
     assert shared_support_fastpath(QuadrinomialSpec(5, 40, 40, 10)) is not None  # a need not be squarefree
-    assert shared_support_fastpath(QuadrinomialSpec(5, 4, 12, 9)) is None  # support differs
+    assert shared_support_fastpath(QuadrinomialSpec(5, 4, 12, 9)) is None  # c not squarefree
+    assert shared_support_fastpath(QuadrinomialSpec(5, 18, 12, 2)) is None  # support differs
     assert shared_support_fastpath(QuadrinomialSpec(4, 1, 2, 1)) is None  # c = 1
     assert shared_support_fastpath(QuadrinomialSpec(5, 12, 24, 12)) is None  # c not squarefree
     # odd a, c with even degree: excluded because 2 can pass while 4 | disc
     assert shared_support_fastpath(QuadrinomialSpec(4, 5, 10, 5)) is None
     assert shared_support_fastpath(QuadrinomialSpec(5, 5, 10, 5)) is not None
+    # Applicable, but factoring stops short of disc(f) with no square found.
+    effort = EffortConfig(trial_division_bound=100, rho_iteration_budget=0)
+    verdict = shared_support_fastpath(QuadrinomialSpec(17, 2, 4, 2), effort)
+    assert verdict.status == "unknown" and verdict.witness is None
 
 
 def test_shared_support_fastpath_agrees_with_full_analysis():

@@ -197,6 +197,8 @@ def test_int_factorization_validation():
         IntFactorization(sign=1, factors=((3, 1), (2, 1)))  # unsorted
     with pytest.raises(ValueError):
         IntFactorization(sign=1, factors=((2, 0),))
+    with pytest.raises(ValueError, match="cofactor must be positive"):
+        IntFactorization(sign=1, factors=(), cofactor=0)
     fac = IntFactorization(sign=-1, factors=((2, 3), (5, 1)), cofactor=49)
     assert fac.value == -1 * 8 * 5 * 49
     assert dict(fac.factors) == {2: 3, 5: 1}
@@ -224,6 +226,8 @@ def test_squarefree_status_matches_naive():
             assert st_.status == "not_squarefree"
             assert m % (st_.witness**2) == 0
     assert squarefree_status(-18).status == "not_squarefree"
+    with pytest.raises(ValueError):
+        squarefree_status(0)
 
 
 def test_squarefree_square_cofactor_is_refuted_despite_budget():

@@ -43,6 +43,20 @@ def test_no_module_imports_a_private_name_from_a_sibling():
     assert found == []
 
 
+def test_case_rules_do_not_import_the_dedekind_oracle():
+    # The case rules are checked against Dedekind's criterion, so they must
+    # share no code path with it.
+    path = SOURCE / "index_criteria.py"
+    names = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+    assert "QuadrinomialSpec" in names
+    assert [name for name in names if "dedekind" in name] == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
