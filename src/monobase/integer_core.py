@@ -28,9 +28,10 @@ from itertools import compress
 
 DEFAULT_SEED = 1729
 
-# The witness set (2, 3, ..., 41) is known to be exhaustive for Miller-Rabin
-# below this bound (Sorenson & Webster), so is_prime is deterministic there.
+# The witness set _MR_BASES is known to be exhaustive for Miller-Rabin below
+# this bound (Sorenson & Webster), so is_prime is deterministic there.
 DETERMINISTIC_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 # Above the deterministic bound, number of random Miller-Rabin rounds.
 # Error probability is at most 4**-64 = 2**-128.
@@ -39,19 +40,6 @@ _MR_ROUNDS = 64
 # Below this, factor_integer ignores the rho iteration budget: trial division
 # plus Brent rho always terminates quickly on 64-bit inputs.
 FULL_FACTOR_BOUND = 1 << 64
-
-# Tiered deterministic Miller-Rabin witness sets (threshold, bases).
-_MR_TIERS = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (DETERMINISTIC_PRIME_BOUND, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
 
 # Largest accepted trial_division_bound.  The sieve takes bound + 1 bytes and
 # the prime table holds every prime up to the bound (664,579 at the cap, about
@@ -64,9 +52,6 @@ _BLOCK_SIZE = 64
 # Inputs below this go into RNG seeds in decimal, which str() renders under
 # Python's default limit of 4300 digits; larger inputs go in hex.
 _DECIMAL_KEY_LIMIT = 10**4300
-
-_SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
-_SCREEN_PRIMORIAL = math.prod(_SCREEN_PRIMES)
 
 
 @dataclass(frozen=True)
@@ -139,17 +124,14 @@ def is_prime(m: int, *, seed: int = DEFAULT_SEED) -> bool:
     n = abs(m)
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    g = math.gcd(n, _SCREEN_PRIMORIAL)
-    if g > 1:
-        return n <= 53 and n in _SCREEN_PRIMES
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for threshold, bases in _MR_TIERS:
-        if n < threshold:
-            return not any(_mr_composite_witness(n, a, d, s) for a in bases)
+    if n < DETERMINISTIC_PRIME_BOUND:
+        return not any(_mr_composite_witness(n, a, d, s) for a in _MR_BASES)
     rng = random.Random(f"is_prime:{seed}:{_key(n)}")
     return not any(
         _mr_composite_witness(n, rng.randrange(2, n - 1), d, s)
@@ -204,14 +186,14 @@ def _iroot(x: int, k: int) -> int:
 
 
 def _perfect_power_root(x: int, bound: int) -> int | None:
-    """r with x == r**k for some prime k, or None.  Every prime of x exceeds
-    bound, so r > bound and only k <= x.bit_length() // (bound.bit_length() - 1)
-    can occur."""
+    """r with x == r**k for the smallest k >= 2 that works, or None.  That k is
+    prime: x == s**(q*m) with q prime is already a q-th power.  Every prime of
+    x exceeds bound, so r > bound and only
+    k <= x.bit_length() // (bound.bit_length() - 1) can occur."""
     for k in range(2, x.bit_length() // (bound.bit_length() - 1) + 1):
-        if is_prime(k):
-            r = _iroot(x, k)
-            if r**k == x:
-                return r
+        r = _iroot(x, k)
+        if r**k == x:
+            return r
     return None
 
 
@@ -326,10 +308,7 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     factors = []
     rest = n
     for p in sorted(found):
-        e = 0
-        while rest % p == 0:
-            e += 1
-            rest //= p
+        e, rest = p_valuation(rest, p)
         if e:
             factors.append((p, e))
     return IntFactorization(sign=sign, factors=tuple(factors), cofactor=rest)

@@ -121,7 +121,7 @@ class ZPoly:
         return _format_poly(self.coeffs)
 
 
-def _format_poly(coeffs, var: str = "x") -> str:
+def _format_poly(coeffs) -> str:
     if not coeffs:
         return "0"
     terms = []
@@ -135,7 +135,7 @@ def _format_poly(coeffs, var: str = "x") -> str:
             body = str(mag)
         else:
             head = "" if mag == 1 else f"{mag}*"
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+            body = f"{head}x" if i == 1 else f"{head}x^{i}"
         terms.append((sign, body))
     first_sign, first_body = terms[0]
     out = ("-" if first_sign == "-" else "") + first_body

@@ -15,8 +15,9 @@ always absorbs floor(v/2) and the field keeps v mod 2, whether or not p
 divides the index.  For p | b a passing prime contributes v entirely to the
 field; a failing one leaves only the bound v_p(index) >= 1.
 
-Irreducibility certificates, strongest first: a rational root refutes; the
-Eisenstein or single-segment Newton polygon conditions certify; an
+Irreducibility certificates, in the order tried: the Eisenstein or
+single-segment Newton polygon conditions certify; a rational root refutes
+(a certified f has none, so the search waits until both have failed); an
 irreducible reduction mod p certifies; and factor degree patterns that admit
 no proper subset sum across several primes certify (optionally combined with
 the complete absence of rational roots to excuse degrees 1 and n-1).  Both
@@ -129,7 +130,7 @@ def irreducibility_check(
 
     Only monic inputs of degree >= 2 are considered.
     """
-    if f.is_zero or not f.is_monic:
+    if not f.is_monic:
         raise ValueError("irreducibility check requires a monic polynomial")
     n = f.degree
     if n < 2:
@@ -139,13 +140,6 @@ def irreducibility_check(
         return IrreducibilityStatus("reducible", "rational_root", {"root": 0})
 
     c0_fac = factor_integer(c0, effort)
-    divisors = _divisors_from(c0_fac)
-    roots_complete = divisors is not None
-    candidates = divisors if divisors is not None else [1] + [p for p, _ in c0_fac.factors]
-    for d in candidates:
-        for root in (d, -d):
-            if f(root) == 0:
-                return IrreducibilityStatus("reducible", "rational_root", {"root": root})
 
     # Eisenstein: some prime divides every non-leading coefficient once at c0.
     lower_gcd = 0
@@ -165,6 +159,14 @@ def irreducibility_check(
             return IrreducibilityStatus(
                 "irreducible", "newton_polygon", {"prime": p, "constant_valuation": k}
             )
+
+    divisors = _divisors_from(c0_fac)
+    roots_complete = divisors is not None
+    candidates = divisors if divisors is not None else [1] + [p for p, _ in c0_fac.factors]
+    for d in candidates:
+        for root in (d, -d):
+            if f(root) == 0:
+                return IrreducibilityStatus("reducible", "rational_root", {"root": root})
 
     # Reductions mod small primes: an irreducible reduction certifies; else
     # intersect the achievable proper factor degrees across primes.
@@ -193,16 +195,15 @@ def irreducibility_check(
 class PrimeVerdict:
     """Per-prime summary: case outcome plus index/field-disc valuations.
 
-    index_valuation is exact when index_valuation_exact is set; otherwise it
-    is a lower bound (>= 1 for a failing prime dividing b).  disc_valuation
-    is None when the failing case leaves it undetermined.
+    index_valuation is exact when field_disc_valuation is known; otherwise it
+    is a lower bound (>= 1 for a failing prime dividing b) and
+    field_disc_valuation is None.
     """
 
     p: int
     disc_poly_valuation: int
     case: CaseVerdict
     index_valuation: int
-    index_valuation_exact: bool
     field_disc_valuation: int | None
 
     def to_dict(self) -> dict:
@@ -211,7 +212,7 @@ class PrimeVerdict:
             "vp_disc_poly": self.disc_poly_valuation,
             **self.case.to_dict(),
             "vp_index": self.index_valuation,
-            "vp_index_exact": self.index_valuation_exact,
+            "vp_index_exact": self.field_disc_valuation is not None,
             "vp_disc_field": self.field_disc_valuation,
         }
 
@@ -262,10 +263,10 @@ def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int) -> PrimeVe
     case = prime_divides_index(spec, p, disc)
     if case.tag is CaseTag.P_COPRIME_TO_B:
         # v_p(index) = floor(e/2) and v_p(disc K) = e mod 2, pass or fail.
-        return PrimeVerdict(p, e, case, e // 2, True, e % 2)
+        return PrimeVerdict(p, e, case, e // 2, e % 2)
     if case.passes:
-        return PrimeVerdict(p, e, case, 0, True, e)
-    return PrimeVerdict(p, e, case, 1, False, None)
+        return PrimeVerdict(p, e, case, 0, e)
+    return PrimeVerdict(p, e, case, 1, None)
 
 
 def analyze(
@@ -300,7 +301,7 @@ def analyze(
     exact = fac.is_complete
     for v in verdicts:
         index_value *= v.p**v.index_valuation
-        exact = exact and v.index_valuation_exact
+        exact = exact and v.field_disc_valuation is not None
     abs_dk = None
     if exact:
         index = IndexStatus("exact", index_value)

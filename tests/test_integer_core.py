@@ -44,6 +44,10 @@ def test_is_prime_strong_pseudoprimes_rejected():
     for n in (2047, 1373653, 25326001, 3215031751, 3474749660383,
               341550071728321, 3825123056546413051, 318665857834031151167461):
         assert not is_prime(n), n
+    # psi_5 and psi_13 (Sorenson & Webster); psi_13 is DETERMINISTIC_PRIME_BOUND,
+    # so it takes the seeded random rounds.
+    for n in (2_152_302_898_747, 3_317_044_064_679_887_385_961_981):
+        assert not is_prime(n), n
     for n in (561, 41041, 825265, 321197185):  # Carmichael numbers
         assert not is_prime(n), n
 

@@ -36,8 +36,8 @@ def test_irreducibility_eisenstein():
 
 
 def test_irreducibility_factors_a_pc_constant_once(monkeypatch):
-    # On x**n + c*(x + 1)**2 the gcd of the lower coefficients is |c|, whose
-    # factorization the rational-root step already holds.
+    # On x**n + c*(x + 1)**2 the gcd of the lower coefficients is |c|, so
+    # Eisenstein reuses the factorization of the constant c.
     calls = []
 
     def counting(m, effort):
@@ -48,6 +48,24 @@ def test_irreducibility_factors_a_pc_constant_once(monkeypatch):
     res = irreducibility_check(FamilyTemplate(7).spec(-12).polynomial())
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 3})
     assert calls == [-12]
+
+
+@pytest.mark.parametrize(
+    "n, c, prime", [(7, -12, 3), (3, 6, 2), (5, -30, 2), (12, 101, 101), (9, 18, 2)]
+)
+def test_eisenstein_pc_spec_skips_the_root_search(monkeypatch, n, c, prime):
+    # A certified f has no rational root, so its divisors are never listed.
+    calls = []
+    divisors_from = report._divisors_from
+
+    def counting(fac):
+        calls.append(fac)
+        return divisors_from(fac)
+
+    monkeypatch.setattr(report, "_divisors_from", counting)
+    res = irreducibility_check(FamilyTemplate(n).spec(c).polynomial())
+    assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": prime})
+    assert calls == []
 
 
 def test_irreducibility_newton_polygon():
@@ -114,7 +132,7 @@ def test_analyze_per_prime_detail():
     assert sorted(by_p) == [2, 3, 83, 1069]
     assert by_p[2].case.passes and by_p[2].case.tag.value == "p_divides_a_and_c"
     assert not by_p[3].case.passes and by_p[3].case.tag.value == "p_coprime_to_b"
-    assert (by_p[3].index_valuation, by_p[3].index_valuation_exact) == (1, True)
+    assert (by_p[3].index_valuation, by_p[3].to_dict()["vp_index_exact"]) == (1, True)
     assert by_p[3].field_disc_valuation == 0
     assert by_p[2].field_disc_valuation == 6
     assert all(v.case.source == "theorem" for v in rep.prime_verdicts)
@@ -193,7 +211,7 @@ def test_analyze_failing_divisor_of_b_leaves_lower_bound():
     assert rep.index.value == 3
     assert rep.abs_disc_field is None
     v3 = next(v for v in rep.prime_verdicts if v.p == 3)
-    assert not v3.index_valuation_exact
+    assert not v3.to_dict()["vp_index_exact"]
     assert v3.field_disc_valuation is None
 
 
