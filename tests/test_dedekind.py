@@ -8,7 +8,12 @@ from collections import Counter
 
 from helpers import DEDEKIND_PAIR_KINDS, dedekind_pairs, random_specs
 from monobase import FpPoly, ZPoly, compute_M, dedekind, dedekind_divides_index, factor_mod_p
-from monobase.polynomials import FpPolyFactorization, dedekind_gcd_mod_p
+from monobase.polynomials import (
+    _DEDEKIND_CACHE_SIZE,
+    FpPolyFactorization,
+    _dedekind_verdict,
+    dedekind_gcd_mod_p,
+)
 
 
 def test_quadratic_worked_examples():
@@ -125,6 +130,62 @@ def test_gcd_verdict_matches_factored_verdict():
     assert sum(seen.values()) == 2800
     for kind in ("random", "repeated", "frobenius", "large_p"):
         assert seen[kind, True] >= 25 and seen[kind, False] >= 25, seen
+
+
+def test_verdict_is_memoized_on_f_mod_p_squared():
+    # f and f + p^2*t share F mod p, so the second call is a hit; the
+    # factored form confirms the verdict for the shifted polynomial too.
+    _dedekind_verdict.cache_clear()
+    f = ZPoly((2, 4, 2, 0, 0, 0, 0, 1))
+    shifted = f + ZPoly((9,)) * ZPoly((5, -1, 7, 0, 3))
+    assert dedekind_gcd_mod_p(f, 3)
+    assert dedekind_gcd_mod_p(shifted, 3)
+    info = _dedekind_verdict.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert factored_verdict(shifted, 3)[0]
+
+
+def test_cached_verdict_matches_uncached_verdict():
+    # Each f is followed by f + p^2*t, a cache hit on f's entry.  Both must
+    # match the uncached computation on their full coefficients.
+    _dedekind_verdict.cache_clear()
+    rng = random.Random(16)
+    seen = Counter()
+    for kind, f, p in dedekind_pairs(77, 120 * len(DEDEKIND_PAIR_KINDS)):
+        t = ZPoly(tuple(rng.randint(-9, 9) for _ in range(f.degree)))
+        shifted = f + ZPoly((p * p,)) * t
+        for poly in (f, shifted):
+            uncached = _dedekind_verdict.__wrapped__(poly.coeffs, p)
+            assert dedekind_gcd_mod_p(poly, p) == uncached, (kind, poly.coeffs, p)
+        seen[kind, "p < 4" if p < 4 else "p > 2^32" if p > 2**32 else "other"] += 1
+    assert set(k for k, _ in seen) == set(DEDEKIND_PAIR_KINDS)
+    assert seen["frobenius", "p < 4"] == 120 and seen["large_p", "p > 2^32"] == 120
+    assert _dedekind_verdict.cache_info().hits >= 120 * len(DEDEKIND_PAIR_KINDS)
+
+
+def test_input_checks_run_before_the_cache_lookup():
+    _dedekind_verdict.cache_clear()
+    _dedekind_verdict((1, 1), 9)  # an entry only a skipped check could reach
+    _dedekind_verdict((1,), 2)
+    assert not dedekind_gcd_mod_p(ZPoly((1, 1)), 3)
+    for f, p in (
+        (ZPoly((1, 1)), 9),    # composite p
+        (ZPoly((1, 10)), 3),   # not monic, yet its key is (1, 1) mod 9
+        (ZPoly((1,)), 2),      # degree 0
+    ):
+        with pytest.raises(ValueError):
+            dedekind_gcd_mod_p(f, p)
+    assert _dedekind_verdict.cache_info().hits == 0
+
+
+def test_verdict_cache_is_bounded():
+    _dedekind_verdict.cache_clear()
+    for c in range(_DEDEKIND_CACHE_SIZE + 10):
+        dedekind_gcd_mod_p(ZPoly((c, 1)), 101)  # distinct keys below 101^2
+    info = _dedekind_verdict.cache_info()
+    assert info.maxsize == _DEDEKIND_CACHE_SIZE
+    assert info.currsize == _DEDEKIND_CACHE_SIZE
+    assert info.misses == _DEDEKIND_CACHE_SIZE + 10
 
 
 @pytest.mark.parametrize("coeffs, p", [((-5, 0, 1), 2), ((1, 0, 1), 2)])
