@@ -204,6 +204,9 @@ class IntFactorization:
     value == sign * prod(p**e) * cofactor.  The listed primes are certified
     prime and pairwise distinct; the cofactor (if > 1) is coprime to all of
     them and carries no prime below the trial division bound used.
+    Construction checks, in this order: sign is +1 or -1, cofactor >= 1, the
+    primes strictly increase, and every entry has p >= 2 and e >= 1.  It
+    tests neither primality nor coprimality, which factor_integer ensures.
     """
 
     sign: int
@@ -215,10 +218,19 @@ class IntFactorization:
             raise ValueError("sign must be +1 or -1")
         if self.cofactor < 1:
             raise ValueError("cofactor must be positive")
-        ps = [p for p, _ in self.factors]
-        if ps != sorted(ps) or len(ps) != len(set(ps)):
+        # One pass that allocates nothing; every entry is read before either
+        # message is chosen, and the order message takes precedence.
+        increasing = in_range = True
+        prev = None
+        for p, e in self.factors:
+            if prev is not None and p <= prev:
+                increasing = False
+            if p < 2 or e < 1:
+                in_range = False
+            prev = p
+        if not increasing:
             raise ValueError("factors must be sorted by distinct prime")
-        if any(p < 2 or e < 1 for p, e in self.factors):
+        if not in_range:
             raise ValueError("factors must have prime >= 2 and exponent >= 1")
 
     @property

@@ -8,6 +8,7 @@ from collections import Counter
 
 from helpers import DEDEKIND_PAIR_KINDS, dedekind_pairs, random_specs
 from monobase import FpPoly, ZPoly, compute_M, dedekind, dedekind_divides_index, factor_mod_p
+from monobase import polynomials
 from monobase.polynomials import (
     _DEDEKIND_CACHE_SIZE,
     FpPolyFactorization,
@@ -165,7 +166,11 @@ def test_cached_verdict_matches_uncached_verdict():
 
 def test_input_checks_run_before_the_cache_lookup():
     _dedekind_verdict.cache_clear()
-    _dedekind_verdict((1, 1), 9)  # an entry only a skipped check could reach
+    # The prime test runs inside the memoized verdict, so a composite p
+    # raises there and never gets an entry that a later call could hit.
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        _dedekind_verdict((1, 1), 9)
+    assert _dedekind_verdict.cache_info().currsize == 0
     _dedekind_verdict((1,), 2)
     assert not dedekind_gcd_mod_p(ZPoly((1, 1)), 3)
     for f, p in (
@@ -176,6 +181,23 @@ def test_input_checks_run_before_the_cache_lookup():
         with pytest.raises(ValueError):
             dedekind_gcd_mod_p(f, p)
     assert _dedekind_verdict.cache_info().hits == 0
+
+
+def test_a_cache_hit_skips_the_prime_test(monkeypatch):
+    original = polynomials.is_prime
+    calls = []
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "is_prime", counting)
+    _dedekind_verdict.cache_clear()
+    f = ZPoly((3, 0, 1, 1))
+    assert dedekind_gcd_mod_p(f, 101) == dedekind_gcd_mod_p(f, 101)
+    info = _dedekind_verdict.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert calls == [101]
 
 
 def test_verdict_cache_is_bounded():

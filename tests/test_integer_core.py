@@ -195,14 +195,33 @@ def test_factor_integer_rejects_zero():
 
 
 def test_int_factorization_validation():
-    with pytest.raises(ValueError):
-        IntFactorization(sign=0, factors=())
-    with pytest.raises(ValueError):
-        IntFactorization(sign=1, factors=((3, 1), (2, 1)))  # unsorted
-    with pytest.raises(ValueError):
-        IntFactorization(sign=1, factors=((2, 0),))
-    with pytest.raises(ValueError, match="cofactor must be positive"):
-        IntFactorization(sign=1, factors=(), cofactor=0)
+    sign = "sign must be \\+1 or -1"
+    cofactor = "cofactor must be positive"
+    order = "factors must be sorted by distinct prime"
+    bounds = "factors must have prime >= 2 and exponent >= 1"
+    for kwargs, message in (
+        (dict(sign=0, factors=()), sign),
+        (dict(sign=2, factors=()), sign),
+        (dict(sign=1, factors=(), cofactor=0), cofactor),
+        (dict(sign=1, factors=(), cofactor=-1), cofactor),
+        (dict(sign=1, factors=((3, 1), (2, 1))), order),  # unsorted
+        (dict(sign=1, factors=((2, 1), (2, 1))), order),  # duplicated prime
+        (dict(sign=1, factors=((2, 1), (3, 1), (3, 2))), order),
+        (dict(sign=1, factors=((2, 0),)), bounds),
+        (dict(sign=1, factors=((1, 1),)), bounds),
+        (dict(sign=1, factors=((0, 1), (2, 1))), bounds),
+        (dict(sign=1, factors=((-2, 1), (3, 1))), bounds),
+        (dict(sign=1, factors=((2, 1), (3, 0), (5, 1))), bounds),  # e = 0 mid-list
+        # Precedence: sign, then cofactor, then order, then the bounds.
+        (dict(sign=0, factors=((3, 1), (2, 0)), cofactor=0), sign),
+        (dict(sign=-1, factors=((3, 1), (1, 1)), cofactor=0), cofactor),
+        (dict(sign=1, factors=((3, 1), (1, 1))), order),  # p = 1, unsorted
+        (dict(sign=1, factors=((5, 1), (3, 0))), order),  # e = 0, unsorted
+        (dict(sign=1, factors=((2, 0), (2, 1))), order),  # e = 0, duplicated
+        (dict(sign=1, factors=((1, 1), (-2, 1))), order),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IntFactorization(**kwargs)
     fac = IntFactorization(sign=-1, factors=((2, 3), (5, 1)), cofactor=49)
     assert fac.value == -1 * 8 * 5 * 49
     assert dict(fac.factors) == {2: 3, 5: 1}
