@@ -117,9 +117,10 @@ def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
 def is_prime(m: int, *, seed: int = DEFAULT_SEED) -> bool:
     """True iff |m| is prime.
 
-    Deterministic below DETERMINISTIC_PRIME_BOUND.  Above it, runs _MR_ROUNDS
-    Miller-Rabin rounds with bases from a generator seeded by (seed, m); the
-    error probability is at most 2**-128.
+    Below 43**2 = 1849, trial division by the primes of _MR_BASES decides
+    alone.  Deterministic below DETERMINISTIC_PRIME_BOUND.  Above it, runs
+    _MR_ROUNDS Miller-Rabin rounds with bases from a generator seeded by
+    (seed, m); the error probability is at most 2**-128.
     """
     n = abs(m)
     if n < 2:
@@ -127,6 +128,8 @@ def is_prime(m: int, *, seed: int = DEFAULT_SEED) -> bool:
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n < 43 * 43:
+        return True  # no prime factor <= 41, and 43 is the next prime
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

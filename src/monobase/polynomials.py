@@ -11,13 +11,15 @@ equal-degree pipeline with Cantor-Zassenhaus splitting; the only randomness
 is the splitting element, drawn from a generator seeded by (seed, p,
 coefficients).  The factor degrees alone (degree_pattern_mod_p) need no split
 and no randomness, and neither does Dedekind's criterion in its gcd form
-(dedekind_gcd_mod_p), which needs only the squarefree decomposition.
+(dedekind_gcd_mod_p).  For p > deg f it needs one gcd(f, f') mod p, and
+otherwise the squarefree decomposition.
 
 Degree patterns are memoized per (p, monic reduction of f mod p) in an LRU
 cache of _PATTERN_CACHE_SIZE = 4096 entries, about 1.2 MiB when full.  For
 x^n + a x^2 + b x + c at most p^3 reductions exist per degree, whatever the
 size of the coefficients, so an irreducibility sweep meets the same few
-thousand patterns again and again.
+thousand patterns again and again.  When f mod p is monic, the primality test
+of p runs inside the memoized pattern, so a hit skips it.
 
 Dedekind verdicts are memoized per (f mod p^2, p) in an LRU cache of
 _DEDEKIND_CACHE_SIZE = 2048 entries, about 140 bytes each and under 0.3 MiB
@@ -476,10 +478,12 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
 
     With g the radical of f mod p, h = (f mod p) / g, both lifted to
     coefficients in [0, p), and F = (f - g*h) / p: p divides the index iff
-    gcd(F mod p, g, h) has positive degree.  Needs only the squarefree
-    decomposition, so no randomness and no x**p powers.  Requires monic f of
-    degree >= 1 and p prime.  The checks on f and p < 2 run on every call,
-    before the memoized lookup; p's primality is tested only on a miss.
+    gcd(F mod p, g, h) has positive degree.  For p > deg f every multiplicity
+    is below p, so h = gcd(f, f') mod p and g = f / h; otherwise g and h come
+    from the squarefree decomposition.  Either way there is no randomness and
+    there are no x**p powers.  Requires monic f of degree >= 1 and p prime.
+    The checks on f and p < 2 run on every call, before the memoized lookup;
+    p's primality is tested only on a miss.
 
     The verdict depends on f only through f mod p**2: g and h come from
     f mod p, and then F mod p from f mod p**2.  So it is memoized per
@@ -493,7 +497,10 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
     if p < 2:
         raise ValueError(f"{p} is not prime")
     pp = p * p
-    return _dedekind_verdict(tuple(c % pp for c in f.coeffs), p)
+    # Keys are built from lists: tuple() of a generator allocates 10 slots and
+    # shrinks in place, so each cached key would hold a larger block, and the
+    # discarded ones pile up in CPython's per-length tuple free lists.
+    return _dedekind_verdict(tuple([c % pp for c in f.coeffs]), p)
 
 
 # About 140 bytes per entry for degree 3-10 keys; see the module docstring.
@@ -507,16 +514,25 @@ def _dedekind_verdict(key: tuple[int, ...], p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     fbar = [c % p for c in key]
-    g = [1]
-    # gcd(g, h) is the product of the parts that repeat: the parts are
-    # squarefree, monic and pairwise coprime, and h is the product of each
-    # part to its multiplicity minus one.
-    repeated = [1]
-    for part, mult in _fp_sqf_list(fbar, p):
-        g = _fp_mul(g, part, p)
-        if mult > 1:
-            repeated = _fp_mul(repeated, part, p)
-    h = _fp_quo(fbar, g, p)
+    if p >= len(key):
+        # p > deg f, so every multiplicity m is below p: f' != 0 mod p and
+        # gcd(f, f') is the product of each irreducible factor to m - 1,
+        # which is h, and f / h is the radical g.  Every factor of h divides
+        # g, so gcd(F, h) is nontrivial exactly when gcd(F, g, h) is.
+        h = _fp_gcd(fbar, _fp_deriv(fbar, p), p)
+        g = _fp_quo(fbar, h, p)
+        repeated = h
+    else:
+        g = [1]
+        # gcd(g, h) is the product of the parts that repeat: the parts are
+        # squarefree, monic and pairwise coprime, and h is the product of
+        # each part to its multiplicity minus one.
+        repeated = [1]
+        for part, mult in _fp_sqf_list(fbar, p):
+            g = _fp_mul(g, part, p)
+            if mult > 1:
+                repeated = _fp_mul(repeated, part, p)
+        h = _fp_quo(fbar, g, p)
     # f - g*h over Z: subtract the convolution of g and h from a copy of key
     # (g and h are monic with h = f/g mod p, so g*h has the degree of f).
     diff = list(key)
@@ -540,6 +556,10 @@ _PATTERN_CACHE_SIZE = 4096
 
 @lru_cache(maxsize=_PATTERN_CACHE_SIZE)
 def _degree_pattern(fbar: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Degree pattern of the monic fbar mod p.  Raises ValueError for a
+    composite p, so no entry is ever stored for one."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     pattern: list[int] = []
     for part, mult in _fp_sqf_list(list(fbar), p):
         for stratum, d in _fp_ddf(part, p):
@@ -551,6 +571,13 @@ def degree_pattern_mod_p(f: ZPoly, p: int) -> list[int]:
     """Sorted degrees of the irreducible factors of f mod p, with multiplicity,
     from the squarefree and distinct-degree stages alone: a stratum of degree k
     and factor degree d holds k/d factors.  [deg f] iff f is irreducible mod p.
-    Requires p prime and p not dividing lc(f), as factor_mod_p does; the check
-    runs on every call, before the memoized lookup on (monic reduction, p)."""
-    return list(_degree_pattern(tuple(_monic_reduction(f, p)[1]), p))
+    Requires p prime and p not dividing lc(f), as factor_mod_p does.  The
+    lookup is on (monic reduction, p).  When f mod p is already monic, as it
+    is for monic f, the reduction is the key and p's primality is tested
+    only on a miss; otherwise _monic_reduction checks p and lc(f) first."""
+    if p < 2:
+        raise ValueError(f"{p} is not prime")
+    fbar = [c % p for c in f.coeffs]
+    if not fbar or fbar[-1] != 1:
+        fbar = _monic_reduction(f, p)[1]
+    return list(_degree_pattern(tuple(fbar), p))

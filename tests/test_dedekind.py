@@ -6,8 +6,16 @@ import pytest
 
 from collections import Counter
 
-from helpers import DEDEKIND_PAIR_KINDS, dedekind_pairs, random_specs
-from monobase import FpPoly, ZPoly, compute_M, dedekind, dedekind_divides_index, factor_mod_p
+from helpers import DEDEKIND_PAIR_KINDS, LARGE_PRIMES, dedekind_pairs, random_specs
+from monobase import (
+    FpPoly,
+    ZPoly,
+    compute_M,
+    dedekind,
+    dedekind_divides_index,
+    factor_mod_p,
+    is_prime,
+)
 from monobase import polynomials
 from monobase.polynomials import (
     _DEDEKIND_CACHE_SIZE,
@@ -131,6 +139,59 @@ def test_gcd_verdict_matches_factored_verdict():
     assert sum(seen.values()) == 2800
     for kind in ("random", "repeated", "frobenius", "large_p"):
         assert seen[kind, True] >= 25 and seen[kind, False] >= 25, seen
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_verdict_at_the_route_boundary(p):
+    # f = (x - r)**p + p*t has f' = 0 mod p, so it must take the squarefree
+    # route: there gcd(f, f') would be f itself, not (x - r)**(p - 1).  At
+    # degree p - 1, p > deg f and the gcd(f, f') route applies.
+    rng = random.Random(p)
+    for degree in (p, p - 1):
+        seen = Counter()
+        for r in range(p):
+            power = ZPoly((-r, 1)) ** degree
+            for _ in range(6):
+                t = ZPoly(tuple(rng.randint(-9, 9) for _ in range(degree)))
+                f = power + ZPoly((p,)) * t
+                key = tuple(c % (p * p) for c in f.coeffs)
+                verdict = _dedekind_verdict.__wrapped__(key, p)
+                assert verdict == factored_verdict(f, p)[0], (f.coeffs, p)
+                seen[verdict] += 1
+        # A linear f (p = 2, degree 1) is squarefree, so never divides.
+        assert seen[False] and (degree == 1 or seen[True]), (degree, seen)
+
+
+def test_verdict_matches_factored_verdict_on_both_routes():
+    # Products of monic powers (multiplicity 1-4, the first one repeated),
+    # degree 2-12, lifted by random p-multiples.  Half the lifts are multiples
+    # of the repeated linear factor, so both verdicts occur at large p too.
+    rng = random.Random(18)
+    primes = [q for q in range(2, 102) if is_prime(q)] + [LARGE_PRIMES[0]]
+    seen = Counter()
+    while sum(seen.values()) < 2000:
+        p = rng.choice(primes if rng.random() < 0.5 else (2, 3, 5, 7, 11))
+        parts = [(ZPoly((rng.randrange(p), 1)), rng.randint(2, 4))]
+        for _ in range(rng.randint(0, 3)):
+            lower = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3)))
+            parts.append((ZPoly(lower + (1,)), rng.randint(1, 4)))
+        prod = ZPoly((1,))
+        for q, e in parts:
+            prod = prod * q**e
+        n = prod.degree
+        if n > 12:
+            continue
+        if rng.random() < 0.5:
+            t = parts[0][0] * ZPoly(tuple(rng.randint(-9, 9) for _ in range(n - 1)))
+        else:
+            t = ZPoly(tuple(rng.randint(-9, 9) for _ in range(n)))
+        f = prod + ZPoly((p * rng.randint(-3, 3),)) * t
+        verdict = _dedekind_verdict.__wrapped__(tuple(c % (p * p) for c in f.coeffs), p)
+        assert verdict == factored_verdict(f, p)[0], (f.coeffs, p)
+        seen["p > deg f" if p > n else "p <= deg f", verdict, p > 2**32] += 1
+    for route in ("p > deg f", "p <= deg f"):
+        assert seen[route, True, False] >= 100 and seen[route, False, False] >= 100, seen
+    assert seen["p > deg f", True, True] >= 10 and seen["p > deg f", False, True] >= 10, seen
 
 
 def test_verdict_is_memoized_on_f_mod_p_squared():

@@ -37,6 +37,9 @@ def test_primes_up_to_small():
 def test_is_prime_matches_naive_below_20000():
     for n in range(-100, 20000):
         assert is_prime(n) == naive_is_prime(abs(n)), n
+    # Trial division by 2..41 decides alone below 43^2.
+    assert is_prime(1847) and is_prime(-1847)
+    assert not is_prime(1849) and not is_prime(43 * 47)
 
 
 def test_is_prime_strong_pseudoprimes_rejected():

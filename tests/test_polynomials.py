@@ -15,6 +15,7 @@ from monobase import (
     is_prime,
     resultant,
 )
+from monobase import polynomials
 from monobase.polynomials import (
     _PATTERN_CACHE_SIZE,
     _degree_pattern,
@@ -313,14 +314,49 @@ def test_degree_pattern_cache_is_keyed_on_the_monic_reduction():
 
 
 def test_degree_pattern_validates_before_the_cache():
-    # Warm entries under the keys the invalid calls would reduce to.
-    _degree_pattern((1, 1), 6)
-    assert degree_pattern_mod_p(ZPoly((1,)), 3) == []  # (1 + 3x) mod 3 is 1
+    # The prime test runs inside the memoized pattern, so a composite p
+    # raises there and never gets an entry that a later call could hit.
+    _degree_pattern.cache_clear()
+    with pytest.raises(ValueError, match="^6 is not prime$"):
+        _degree_pattern((1, 1), 6)
+    assert _degree_pattern.cache_info().currsize == 0
+    # Warm the entry under the key (1 + 3x) mod 3 would reduce to.
+    assert degree_pattern_mod_p(ZPoly((1,)), 3) == []
     for _ in range(2):
-        with pytest.raises(ValueError, match="not prime"):
+        with pytest.raises(ValueError, match="^6 is not prime$"):
             degree_pattern_mod_p(ZPoly((1, 1)), 6)  # composite modulus
-        with pytest.raises(ValueError, match="leading coefficient"):
+        with pytest.raises(ValueError, match="^6 is not prime$"):
+            degree_pattern_mod_p(ZPoly((1, 6)), 6)  # composite p and p | lc(f)
+        with pytest.raises(ValueError, match="^leading coefficient vanishes mod p$"):
             degree_pattern_mod_p(ZPoly((1, 3)), 3)  # p | lc(f)
+    assert _degree_pattern.cache_info().currsize == 1
+    _degree_pattern.cache_clear()
+
+
+def test_a_pattern_cache_hit_skips_the_prime_test(monkeypatch):
+    original = polynomials.is_prime
+    calls = []
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "is_prime", counting)
+    _degree_pattern.cache_clear()
+    f = ZPoly((3, 0, 1, 1))
+    assert degree_pattern_mod_p(f, 101) == degree_pattern_mod_p(f, 101)
+    info = _degree_pattern.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert calls == [101]
+    calls.clear()
+    # A composite p and p | lc(f) raise, and are tested, on every call.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^9 is not prime$"):
+            degree_pattern_mod_p(ZPoly((1, 1)), 9)
+        with pytest.raises(ValueError, match="^leading coefficient vanishes mod p$"):
+            degree_pattern_mod_p(ZPoly((1, 0, 7)), 7)
+    assert calls == [9, 7, 9, 7]
+    assert _degree_pattern.cache_info().currsize == 1
     _degree_pattern.cache_clear()
 
 
