@@ -11,8 +11,9 @@ equal-degree pipeline with Cantor-Zassenhaus splitting; the only randomness
 is the splitting element, drawn from a generator seeded by (seed, p,
 coefficients).  The factor degrees alone (degree_pattern_mod_p) need no split
 and no randomness, and neither does Dedekind's criterion in its gcd form
-(dedekind_gcd_mod_p).  For p > deg f it needs one gcd(f, f') mod p, and
-otherwise the squarefree decomposition.
+(dedekind_gcd_mod_p).  It takes gcd(f, f') mod p: a linear gcd x - r leaves
+one evaluation of f(r) mod p^2, and otherwise the squarefree decomposition
+gives the verdict.
 
 Degree patterns are memoized per (p, monic reduction of f mod p) in an LRU
 cache of _PATTERN_CACHE_SIZE = 4096 entries, about 1.2 MiB when full.  For
@@ -258,7 +259,7 @@ def _fp_scale(a: list[int], k: int, p: int) -> list[int]:
 def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[-1], -1, p)
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, p)
     rem = list(a)
     db = len(b) - 1
     low = b[:db]
@@ -478,10 +479,11 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
 
     With g the radical of f mod p, h = (f mod p) / g, both lifted to
     coefficients in [0, p), and F = (f - g*h) / p: p divides the index iff
-    gcd(F mod p, g, h) has positive degree.  For p > deg f every multiplicity
-    is below p, so h = gcd(f, f') mod p and g = f / h; otherwise g and h come
-    from the squarefree decomposition.  Either way there is no randomness and
-    there are no x**p powers.  Requires monic f of degree >= 1 and p prime.
+    gcd(F mod p, g, h) has positive degree.  When gcd(f, f') mod p is linear,
+    x - r, f has one double root r mod p and p divides the index iff
+    f(r) = 0 mod p**2; otherwise g and h come from the squarefree
+    decomposition.  Either way there is no randomness and there are no x**p
+    powers.  Requires monic f of degree >= 1 and p prime.
     The checks on f and p < 2 run on every call, before the memoized lookup;
     p's primality is tested only on a miss.
 
@@ -514,25 +516,28 @@ def _dedekind_verdict(key: tuple[int, ...], p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     fbar = [c % p for c in key]
-    if p >= len(key):
-        # p > deg f, so every multiplicity m is below p: f' != 0 mod p and
-        # gcd(f, f') is the product of each irreducible factor to m - 1,
-        # which is h, and f / h is the radical g.  Every factor of h divides
-        # g, so gcd(F, h) is nontrivial exactly when gcd(F, g, h) is.
-        h = _fp_gcd(fbar, _fp_deriv(fbar, p), p)
-        g = _fp_quo(fbar, h, p)
-        repeated = h
-    else:
-        g = [1]
-        # gcd(g, h) is the product of the parts that repeat: the parts are
-        # squarefree, monic and pairwise coprime, and h is the product of
-        # each part to its multiplicity minus one.
-        repeated = [1]
-        for part, mult in _fp_sqf_list(fbar, p):
-            g = _fp_mul(g, part, p)
-            if mult > 1:
-                repeated = _fp_mul(repeated, part, p)
-        h = _fp_quo(fbar, g, p)
+    h = _fp_gcd(fbar, _fp_deriv(fbar, p), p)  # fbar itself when f' = 0 mod p
+    if len(h) == 2:
+        # An irreducible factor of multiplicity m adds its degree times m - 1
+        # to gcd(f, f'), or times m when p | m.  So a linear gcd x - r means
+        # f = (x - r)^2 * s mod p with s squarefree and prime to x - r, and
+        # p odd.  Then the lifts of g and h both vanish at r mod p, so
+        # p*F(r) = f(r) mod p^2, and gcd(F, g, h) is nontrivial exactly when
+        # p^2 | f(r).
+        r, pp, v = -h[0] % p, p * p, 0
+        for c in reversed(key):
+            v = (v * r + c) % pp
+        return not v
+    g = [1]
+    # gcd(g, h) is the product of the parts that repeat: the parts are
+    # squarefree, monic and pairwise coprime, and h is the product of each
+    # part to its multiplicity minus one.
+    repeated = [1]
+    for part, mult in _fp_sqf_list(fbar, p):
+        g = _fp_mul(g, part, p)
+        if mult > 1:
+            repeated = _fp_mul(repeated, part, p)
+    h = _fp_quo(fbar, g, p)
     # f - g*h over Z: subtract the convolution of g and h from a copy of key
     # (g and h are monic with h = f/g mod p, so g*h has the degree of f).
     diff = list(key)

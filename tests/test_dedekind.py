@@ -141,37 +141,62 @@ def test_gcd_verdict_matches_factored_verdict():
         assert seen[kind, True] >= 25 and seen[kind, False] >= 25, seen
 
 
+def _gcd_degree(f, p):
+    """deg gcd(f, f') mod p, read off the factorization: an irreducible factor
+    of multiplicity m contributes its degree times m - 1, or times m when p | m.
+    A miss whose gcd is linear is settled by evaluating f at its root."""
+    return sum(g.degree * (e if e % p == 0 else e - 1) for g, e in factor_mod_p(f, p).factors)
+
+
+def _route(f, p):
+    return "linear gcd(f, f')" if _gcd_degree(f, p) == 1 else "squarefree pass"
+
+
+def _lift(base, r, p, rng, vanish):
+    """base + p*t with t of lower degree.  With vanish, t's constant term is
+    chosen so that p^2 | f(r): when r is a repeated root of base mod p, that
+    puts x - r into gcd(F, g, h) and the verdict is "divides"."""
+    t = [rng.randint(-9, 9) for _ in range(base.degree)]
+    if vanish:
+        t[0] -= (base(r) // p + ZPoly(tuple(t))(r)) % p
+    return base + ZPoly((p,)) * ZPoly(tuple(t))
+
+
+def _verdict(f, p):
+    return _dedekind_verdict.__wrapped__(tuple(c % (p * p) for c in f.coeffs), p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_verdict_at_the_route_boundary(p):
-    # f = (x - r)**p + p*t has f' = 0 mod p, so it must take the squarefree
-    # route: there gcd(f, f') would be f itself, not (x - r)**(p - 1).  At
-    # degree p - 1, p > deg f and the gcd(f, f') route applies.
+    # (x - r)^2 + p*t has gcd(f, f') = x - r for odd p, so one evaluation of
+    # f(r) mod p^2 settles it.  (x - r)^3 + p*t, (x - r)^2 at p = 2 and
+    # (x - r)^p, where f' = 0 mod p, have a gcd of degree at least 2 and must
+    # take the squarefree pass.
     rng = random.Random(p)
-    for degree in (p, p - 1):
+    for degree in sorted({2, 3, p}):
         seen = Counter()
         for r in range(p):
             power = ZPoly((-r, 1)) ** degree
-            for _ in range(6):
-                t = ZPoly(tuple(rng.randint(-9, 9) for _ in range(degree)))
-                f = power + ZPoly((p,)) * t
-                key = tuple(c % (p * p) for c in f.coeffs)
-                verdict = _dedekind_verdict.__wrapped__(key, p)
+            for i in range(8):
+                f = _lift(power, r, p, rng, vanish=i % 2)
+                verdict = _verdict(f, p)
                 assert verdict == factored_verdict(f, p)[0], (f.coeffs, p)
-                seen[verdict] += 1
-        # A linear f (p = 2, degree 1) is squarefree, so never divides.
-        assert seen[False] and (degree == 1 or seen[True]), (degree, seen)
+                seen[_route(f, p), verdict] += 1
+        route = "linear gcd(f, f')" if degree == 2 and p > 2 else "squarefree pass"
+        assert set(seen) == {(route, False), (route, True)}, (degree, seen)
 
 
 def test_verdict_matches_factored_verdict_on_both_routes():
-    # Products of monic powers (multiplicity 1-4, the first one repeated),
-    # degree 2-12, lifted by random p-multiples.  Half the lifts are multiples
-    # of the repeated linear factor, so both verdicts occur at large p too.
+    # Products of monic powers (multiplicity 1-4, the first one linear and
+    # repeated, twice in four times squared), degree 2-12, lifted by random
+    # p-multiples.  Half the lifts are multiples of the repeated linear
+    # factor, so both verdicts occur on both routes at large p too.
     rng = random.Random(18)
-    primes = [q for q in range(2, 102) if is_prime(q)] + [LARGE_PRIMES[0]]
+    primes = [q for q in range(2, 102) if is_prime(q)] + [LARGE_PRIMES[0]] * 4
     seen = Counter()
     while sum(seen.values()) < 2000:
         p = rng.choice(primes if rng.random() < 0.5 else (2, 3, 5, 7, 11))
-        parts = [(ZPoly((rng.randrange(p), 1)), rng.randint(2, 4))]
+        parts = [(ZPoly((rng.randrange(p), 1)), rng.choice((2, 2, 3, 4)))]
         for _ in range(rng.randint(0, 3)):
             lower = tuple(rng.randrange(p) for _ in range(rng.randint(1, 3)))
             parts.append((ZPoly(lower + (1,)), rng.randint(1, 4)))
@@ -186,12 +211,77 @@ def test_verdict_matches_factored_verdict_on_both_routes():
         else:
             t = ZPoly(tuple(rng.randint(-9, 9) for _ in range(n)))
         f = prod + ZPoly((p * rng.randint(-3, 3),)) * t
-        verdict = _dedekind_verdict.__wrapped__(tuple(c % (p * p) for c in f.coeffs), p)
+        verdict = _verdict(f, p)
         assert verdict == factored_verdict(f, p)[0], (f.coeffs, p)
-        seen["p > deg f" if p > n else "p <= deg f", verdict, p > 2**32] += 1
-    for route in ("p > deg f", "p <= deg f"):
+        seen[_route(f, p), verdict, p > 2**32] += 1
+    for route in ("linear gcd(f, f')", "squarefree pass"):
         assert seen[route, True, False] >= 100 and seen[route, False, False] >= 100, seen
-    assert seen["p > deg f", True, True] >= 10 and seen["p > deg f", False, True] >= 10, seen
+        assert seen[route, True, True] >= 10 and seen[route, False, True] >= 10, seen
+
+
+def test_a_lone_double_root_is_settled_by_evaluating_f_mod_p_squared():
+    # f = (x - r)^2 * s + p*t, s squarefree and prime to x - r mod p, p odd:
+    # gcd(f, f') = x - r, and p divides the index iff p^2 | f(r).
+    rng = random.Random(19)
+    seen = Counter()
+    for p in (3, 5, 7, 11, 101, LARGE_PRIMES[0]):
+        for i, r in enumerate([0, p - 1] * 8 + [rng.randrange(p) for _ in range(16)]):
+            square = ZPoly((-r, 1)) ** 2
+            while True:
+                s = ZPoly(tuple(rng.randrange(p) for _ in range(rng.randint(0, 10))) + (1,))
+                f = _lift(square * s, r, p, rng, vanish=i % 2)
+                if _gcd_degree(f, p) == 1:
+                    break
+            verdict = _verdict(f, p)
+            assert verdict == factored_verdict(f, p)[0] == (f(r) % (p * p) == 0), (f.coeffs, p)
+            seen[verdict] += 1
+    assert seen[True] >= 50 and seen[False] >= 50, seen
+
+
+def test_keys_without_a_lone_double_root_skip_the_evaluation():
+    # Each of these has gcd(f, f') of degree other than 1 mod p, so evaluating
+    # f at minus the gcd's constant term would be meaningless.  With vanish,
+    # p^2 | f(r) at a repeated root r, so every shape meets both verdicts.
+    kinds = ("two double roots", "triple root", "quadratic squared", "f' = 0", "p = 2")
+    rng = random.Random(20)
+    seen = Counter()
+    for i in range(600):
+        kind, vanish = kinds[i % 5], i // 5 % 2
+        if kind == "p = 2":
+            p = 2
+        elif kind == "f' = 0":
+            p = rng.choice((2, 3, 5, 7, 11))
+        else:
+            p = rng.choice((3, 5, 7, 11, 101, LARGE_PRIMES[0]))
+        r = rng.randrange(p)
+        linear = ZPoly((-r, 1))
+        s = ZPoly(tuple(rng.randrange(p) for _ in range(rng.randint(0, 6))) + (1,))
+        if kind == "two double roots":
+            other = ZPoly((-(r + rng.randrange(1, p)), 1))
+            f = _lift(linear**2 * other**2 * s, r, p, rng, vanish)
+        elif kind == "triple root":
+            f = _lift(linear**3 * s, r, p, rng, vanish)
+        elif kind == "quadratic squared":
+            q = ZPoly((rng.randrange(p), rng.randrange(p), 1))
+            while factor_mod_p(q, p).factors[0][0].degree != 2:
+                q = ZPoly((rng.randrange(p), rng.randrange(p), 1))
+            u = ZPoly(tuple(rng.randint(-9, 9) for _ in range(s.degree + 2)))
+            f = q**2 * s + ZPoly((p,)) * (q * u if vanish else u)
+        elif kind == "f' = 0":
+            # f = w(x^p) mod p with r a root of w, degree at most 12.
+            cofactor = [rng.randrange(p) for _ in range(rng.randint(0, 12 // p - 1))] + [1]
+            w = linear * ZPoly(tuple(cofactor))
+            spread = [0] * (p * w.degree + 1)
+            spread[::p] = w.coeffs
+            f = _lift(ZPoly(tuple(spread)), r, p, rng, vanish)
+        else:
+            f = _lift(linear ** rng.randint(1, 4) * s, r, p, rng, vanish)
+        assert _gcd_degree(f, p) != 1, (kind, f.coeffs, p)
+        verdict = _verdict(f, p)
+        assert verdict == factored_verdict(f, p)[0], (kind, f.coeffs, p)
+        seen[kind, verdict] += 1
+    for kind in kinds:
+        assert seen[kind, True] >= 20 and seen[kind, False] >= 20, seen
 
 
 def test_verdict_is_memoized_on_f_mod_p_squared():

@@ -57,6 +57,30 @@ def test_case_rules_do_not_import_the_dedekind_oracle():
     assert [name for name in names if "dedekind" in name] == []
 
 
+def test_the_dedekind_oracle_does_not_import_the_family_layers():
+    # The converse: the oracle must stay blind to the family it checks, so it
+    # cannot borrow a case rule such as double_root_divisibility_test.
+    family_layers = {"discriminant", "index_criteria", "families", "report"}
+    found = []
+    for name in ("polynomials", "dedekind"):
+        path = SOURCE / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if (node.module or "monobase") == "monobase":  # from . import x
+                    modules += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{name}.py:{node.lineno} {module}"
+                for module in modules
+                if module.split(".")[-1] in family_layers
+            ]
+    assert found == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
