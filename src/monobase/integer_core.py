@@ -3,14 +3,19 @@
 Everything runs on Python's native arbitrary-precision ints.  Factorization is
 trial division up to a configurable bound followed by Brent-cycle Pollard rho
 on whatever composite survives.  Trial division takes the primes in blocks of
-_BLOCK_SIZE and asks one gcd with each block's product (Bernstein's batch trial
-division), so a block that shares no prime with the number costs one C-level
-gcd rather than a Python-level remainder per prime.  The primes and the block
-products are built on first use and cached per bound.  A composite that is a
-perfect power r**k goes on as r, since rho cannot split the power of a large
-prime.  A factorization may be partial: the unfactored part is carried in a
-``cofactor`` field (1 when complete) so callers can degrade gracefully instead
-of failing.
+_BLOCK_SIZE and the blocks in spans that double in length (block 0, then blocks
+[1, 2), [2, 4), [4, 8), ..., at most _MAX_SPAN_BLOCKS each), and takes one gcd
+with each span's product (Bernstein's batch trial division).  A gcd of 1 skips
+the whole span; a gcd below the span's smallest prime squared is one prime; only
+a gcd with several primes is split block by block.  So a number with no prime
+below the bound costs nine C-level gcds at the default bound rather than one
+per block of primes or one Python-level remainder per prime.  The primes and
+block products are built on first use and cached per bound, and each span
+product when a walk first reaches its span, so a process that factors only
+small numbers never builds the large ones.  A composite that is a perfect power
+r**k goes on as r, since rho cannot split the power of a large prime.  A factorization may be partial: the
+unfactored part is carried in a ``cofactor`` field (1 when complete) so callers
+can degrade gracefully instead of failing.
 
 All randomized routines draw from a generator seeded from the configured seed
 and the input, so results are reproducible regardless of call order.  The input
@@ -43,11 +48,20 @@ FULL_FACTOR_BOUND = 1 << 64
 
 # Largest accepted trial_division_bound.  The sieve takes bound + 1 bytes and
 # the prime table holds every prime up to the bound (664,579 at the cap, about
-# 36 MB at peak), so an unbounded value could ask for gigabytes.
+# 36 MB at peak), so an unbounded value could ask for gigabytes.  At the cap the
+# sieve takes about 0.5 s, the block products 2.1 MB and 0.08 s, and the span
+# products, once a walk has reached them all, another 1.9 MB and 0.5 s; the
+# peak stays the sieve's.
 MAX_TRIAL_DIVISION_BOUND = 10**7
 
-# Trial division takes one gcd with the product of this many primes at a time.
+# Trial division splits a span's gcd with the products of blocks of this many
+# primes.
 _BLOCK_SIZE = 64
+
+# Spans of blocks double in length up to this many blocks and then stay there,
+# which keeps each span product near 100,000 bits: at the largest bound, spans
+# that doubled to the end would take about nine times as long to build.
+_MAX_SPAN_BLOCKS = 64
 
 # Inputs below this go into RNG seeds in decimal, which str() renders under
 # Python's default limit of 4300 digits; larger inputs go in hex.
@@ -89,13 +103,79 @@ def primes_up_to(bound: int) -> tuple[int, ...]:
     return tuple(compress(range(bound + 1), sieve))
 
 
+def _pairwise_product(xs: tuple[int, ...]) -> int:
+    """Product of xs, multiplied pairwise so the factors stay balanced."""
+    while len(xs) > 1:
+        xs = tuple(math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2))
+    return xs[0]
+
+
 @lru_cache(maxsize=8)
-def _block_products(bound: int) -> tuple[int, ...]:
-    """Products of primes_up_to(bound)[i : i + _BLOCK_SIZE], i = 0, _BLOCK_SIZE, ..."""
+def _trial_division_table(bound: int) -> tuple[tuple[int, ...], tuple[int, ...], list[list]]:
+    """(primes, blocks, spans) for primes = primes_up_to(bound).  blocks[b] is
+    the product of primes[b * _BLOCK_SIZE : (b + 1) * _BLOCK_SIZE].  spans are
+    [first, stop, p * p, product of blocks[first:stop]], with p the span's
+    smallest prime, and tile the blocks: block 0 alone, then blocks
+    [2**j, 2**(j+1)) until a span would exceed _MAX_SPAN_BLOCKS, then runs of
+    _MAX_SPAN_BLOCKS; the last span is cut at the end of the table.  A span's
+    product is None until _trial_divide first reaches the span."""
     primes = primes_up_to(bound)
-    return tuple(
+    blocks = tuple(
         math.prod(primes[i : i + _BLOCK_SIZE]) for i in range(0, len(primes), _BLOCK_SIZE)
     )
+    spans = []
+    first = 0
+    while first < len(blocks):
+        stop = min(2 * first or 1, first + _MAX_SPAN_BLOCKS, len(blocks))
+        least = primes[first * _BLOCK_SIZE]
+        spans.append([first, stop, least * least, None])
+        first = stop
+    return primes, blocks, spans
+
+
+def _trial_divide(rest: int, bound: int, found: set[int]) -> int:
+    """Add to found every prime up to bound that divides rest, and return rest
+    without them.  Stops before the first span whose smallest prime squared
+    exceeds what is left, which is then 1 or a prime."""
+    primes, blocks, spans = _trial_division_table(bound)
+    for span in spans:
+        first, stop, least_square, product = span
+        if least_square > rest:
+            return rest
+        if product is None:
+            product = span[3] = _pairwise_product(blocks[first:stop])
+        # g is the squarefree product of the span's primes that divide rest.
+        g = math.gcd(rest, product)
+        if g == 1:
+            continue
+        # Strip every prime of g, with multiplicity, from rest.
+        q = g
+        while q > 1:
+            rest //= q
+            q = math.gcd(rest, q)
+        if g < least_square:
+            found.add(g)  # two primes of the span multiply to more
+            continue
+        # Find g's primes block by block, until none is left.
+        for b in range(first, stop):
+            gb = g if stop == first + 1 else math.gcd(g, blocks[b])
+            if gb == 1:
+                continue
+            g //= gb
+            # gb is a squarefree product of block primes; once p * p > gb,
+            # what is left of gb has no prime below p and so is 1 or a prime.
+            start = b * _BLOCK_SIZE
+            for p in primes[start : start + _BLOCK_SIZE]:
+                if p * p > gb:
+                    break
+                if gb % p == 0:
+                    found.add(p)
+                    gb //= p
+            if gb > 1:
+                found.add(gb)
+            if g == 1:
+                break
+    return rest
 
 
 def _key(n: int) -> str:
@@ -258,13 +338,14 @@ class IntFactorization:
 def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactorization:
     """Factor m != 0 within the given effort bounds.
 
-    Trial division walks the primes up to the bound in blocks, with the block
-    products cached per bound by _block_products.  It stops at the first block
-    whose smallest prime squared exceeds what is left, skips a block whose
-    product is coprime to it, and otherwise strips the primes of that gcd.
-    This finds the same primes as one remainder per prime would.  A composite
-    cofactor above the bound squared goes to Brent rho, except that a perfect
-    power r**k (k prime) is replaced by r first.
+    Trial division walks the spans of _trial_division_table.  It stops before
+    the first span whose smallest prime squared exceeds what is left, skips a
+    span whose product is coprime to it, and otherwise strips the primes of
+    that gcd and finds them, block by block unless the gcd is a single prime.
+    This finds the same primes as one remainder per prime would, so the
+    result does not depend on the spans.  A composite cofactor above the bound
+    squared goes to Brent rho, except that a perfect power r**k (k prime) is
+    replaced by r first.
 
     Complete (cofactor == 1) whenever |m| < FULL_FACTOR_BOUND; beyond that the
     rho iteration budget applies and a composite cofactor may remain.
@@ -274,30 +355,7 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     sign = -1 if m < 0 else 1
     n = abs(m)
     found: set[int] = set()
-    rest = n
-    primes = primes_up_to(effort.trial_division_bound)
-    starts = range(0, len(primes), _BLOCK_SIZE)
-    for start, product in zip(starts, _block_products(effort.trial_division_bound)):
-        if primes[start] * primes[start] > rest:
-            break
-        g = math.gcd(rest, product)
-        if g == 1:
-            continue
-        # Strip every prime of g, with multiplicity, from rest.
-        q = g
-        while q > 1:
-            rest //= q
-            q = math.gcd(rest, q)
-        # g is a squarefree product of block primes; once p * p > g, what is
-        # left of g has no prime below p and so is 1 or a prime.
-        for p in primes[start : start + _BLOCK_SIZE]:
-            if p * p > g:
-                break
-            if g % p == 0:
-                found.add(p)
-                g //= p
-        if g > 1:
-            found.add(g)
+    rest = _trial_divide(n, effort.trial_division_bound, found)
     # rest has no prime up to the bound, or is below the next prime squared:
     # either way a piece below the bound squared is prime.
     rng = None

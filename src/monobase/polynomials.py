@@ -354,28 +354,29 @@ class FpPoly:
 # Factorization in F_p[x].
 
 
-def _fp_sqf_list(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Squarefree decomposition of monic f, characteristic-p aware."""
+def _fp_sqf_list(
+    f: list[int], p: int, g: list[int] | None = None
+) -> list[tuple[list[int], int]]:
+    """Squarefree decomposition of monic f, characteristic-p aware.  g, when
+    the caller already has it, is gcd(f, f') as _fp_gcd returns it."""
     factors: list[tuple[list[int], int]] = []
     mult = 1
     while len(f) > 1:
-        d = _fp_deriv(f, p)
-        if d:
-            g = _fp_gcd(f, d, p)
-            h = _fp_quo(f, g, p)
-            i = 1
-            while h != [1]:
-                gh = _fp_gcd(g, h, p)
-                part = _fp_quo(h, gh, p)
-                if len(part) > 1:
-                    factors.append((part, i * mult))
-                g = _fp_quo(g, gh, p)
-                h = gh
-                i += 1
-            f = g
-        # Here f is 1 or has zero derivative: f = w(x**p), and w is its p-th
+        if g is None:
+            g = _fp_gcd(f, _fp_deriv(f, p), p)  # f itself when f' = 0
+        h = _fp_quo(f, g, p)
+        i = 1
+        while h != [1]:
+            gh = _fp_gcd(g, h, p)
+            part = _fp_quo(h, gh, p)
+            if len(part) > 1:
+                factors.append((part, i * mult))
+            g = _fp_quo(g, gh, p)
+            h = gh
+            i += 1
+        # Here g is 1 or has zero derivative: g = w(x**p), and w is its p-th
         # root because Frobenius fixes the coefficients.
-        f = f[::p]
+        f, g = g[::p], None
         mult *= p
     return factors
 
@@ -533,7 +534,7 @@ def _dedekind_verdict(key: tuple[int, ...], p: int) -> bool:
     # squarefree, monic and pairwise coprime, and h is the product of each
     # part to its multiplicity minus one.
     repeated = [1]
-    for part, mult in _fp_sqf_list(fbar, p):
+    for part, mult in _fp_sqf_list(fbar, p, h):
         g = _fp_mul(g, part, p)
         if mult > 1:
             repeated = _fp_mul(repeated, part, p)

@@ -23,7 +23,9 @@ from monobase.integer_core import (
     DEFAULT_EFFORT,
     FULL_FACTOR_BOUND,
     MAX_TRIAL_DIVISION_BOUND,
+    _MAX_SPAN_BLOCKS,
     _brent_rho,
+    _trial_division_table,
     primes_up_to,
 )
 
@@ -140,6 +142,10 @@ def per_prime_factor_integer(m, effort):
 def _block_edge_inputs(bound):
     primes = primes_up_to(bound)
     blocks = [primes[i : i + _BLOCK_SIZE] for i in range(0, len(primes), _BLOCK_SIZE)]
+    spans = [
+        primes[first * _BLOCK_SIZE : stop * _BLOCK_SIZE]
+        for first, stop, _, _ in _trial_division_table(bound)[2]
+    ]
     above = next(q for q in range(bound + 1, 2 * bound + 3) if is_prime(q))
     big = [(2**89 - 1) * (2**107 - 1), (2**61 - 1) * (2**67 - 1), 2**64 + 13]
     yield from (1, -1, -2, -30, -above, above**2, -(above**2) * 6, 2 * 3 * above**2)
@@ -151,6 +157,16 @@ def _block_edge_inputs(bound):
         yield block[0] * block[-1]  # g composite
         yield math.prod(block[:3]) ** 2 * block[-1]
         yield -block[-1] * above**2
+    for span in spans:
+        for p in {span[0], span[-1]}:
+            yield p
+            yield -(p**3) * above
+        yield span[0] * span[-1] * above  # two primes of one span, blocks apart
+        yield span[len(span) // 2] ** 2 * span[-1]
+    for left, right in zip(spans, spans[1:]):
+        yield left[-1] * right[0]
+        yield -left[0] * right[-1] ** 2 * above
+        yield left[-1] ** 2 * right[0] * right[-1]
     for x in big:
         yield x
         yield -x * primes[-1] ** 3
@@ -173,7 +189,14 @@ def _block_edge_inputs(bound):
         primes_up_to(1000)[_BLOCK_SIZE],  # a block of one prime at the end
         primes_up_to(1000)[2 * _BLOCK_SIZE],
         1000,  # last block partial
+        primes_up_to(2000)[4 * _BLOCK_SIZE - 1],  # 4 blocks: last span full
+        primes_up_to(2000)[4 * _BLOCK_SIZE],  # 5 blocks: last span one block
+        primes_up_to(9000)[16 * _BLOCK_SIZE - 1],  # 16 blocks
+        primes_up_to(9000)[16 * _BLOCK_SIZE],  # 17 blocks
+        8193,  # 17 blocks, the last one partial
         DEFAULT_EFFORT.trial_division_bound,
+        # 193 blocks: a span cut at _MAX_SPAN_BLOCKS, then one of one block
+        primes_up_to(140_000)[192 * _BLOCK_SIZE],
     ],
 )
 @pytest.mark.parametrize("budget", [0, 2000])
@@ -190,6 +213,55 @@ def test_block_trial_division_matches_per_prime_reference(bound, budget):
         incomplete += not fac.is_complete
     if budget == 0:
         assert incomplete > 0
+
+
+@pytest.mark.parametrize("bound", [2, 1000, 8193, DEFAULT_EFFORT.trial_division_bound, 140_000])
+def test_trial_division_spans_double_then_stay_at_the_cap(bound):
+    effort = EffortConfig(trial_division_bound=bound)
+    _trial_division_table.cache_clear()
+    primes, blocks, spans = _trial_division_table(bound)
+    assert primes == primes_up_to(bound)
+    assert blocks == tuple(
+        math.prod(primes[i : i + _BLOCK_SIZE]) for i in range(0, len(primes), _BLOCK_SIZE)
+    )
+    assert spans[0][:2] == [0, 1] and spans[-1][1] == len(blocks)
+    for (_, stop, _, _), (first, _, _, _) in zip(spans, spans[1:]):
+        assert first == stop
+    for first, stop, least_square, product in spans:
+        assert stop - first == min(max(first, 1), _MAX_SPAN_BLOCKS, len(blocks) - first)
+        assert least_square == primes[first * _BLOCK_SIZE] ** 2
+        assert product is None
+    # A walk that stops before the last span builds only the spans it reached.
+    assert factor_integer(2 * 3 * 5, effort).factors == ((2, 1), (3, 1), (5, 1))
+    assert spans[0][3] == blocks[0]
+    assert all(product is None for _, _, _, product in spans[1:])
+    # A leftover with no prime up to the bound reaches every span.
+    above = next(q for q in range(bound + 1, 2 * bound + 3) if is_prime(q))
+    assert factor_integer(above**2, effort).factors == ((above, 2),)
+    for first, stop, _, product in spans:
+        assert product == math.prod(blocks[first:stop])
+    if bound == DEFAULT_EFFORT.trial_division_bound:
+        assert len(blocks) == 150 and len(spans) == 9
+
+
+def test_a_prime_free_run_costs_one_gcd_per_span(monkeypatch):
+    # 10**12 + 39 is prime and above the default bound squared, so the walk
+    # cannot stop early; the per-block walk took 151 gcds here.
+    calls = []
+
+    class CountingMath:
+        def __getattr__(self, name):
+            return getattr(math, name)
+
+        @staticmethod
+        def gcd(*args):
+            calls.append(args)
+            return math.gcd(*args)
+
+    monkeypatch.setattr(integer_core, "math", CountingMath())
+    fac = factor_integer(6 * (10**12 + 39))
+    assert fac.factors == ((2, 1), (3, 1), (10**12 + 39, 1)) and fac.is_complete
+    assert len(calls) <= 16
 
 
 def test_factor_integer_rejects_zero():
