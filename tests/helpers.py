@@ -155,6 +155,37 @@ def naive_is_prime(n):
     return True
 
 
+MR_REFERENCE_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def strong_probable_prime(n, a):
+    """True if odd n > 2 passes the strong (Miller-Rabin) test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def thirteen_base_is_prime(n):
+    """Primality of |n| below 3317044064679887385961981 by trial division
+    by 2..41 and all thirteen strong bases 2..41 (Sorenson & Webster)."""
+    n = abs(n)
+    if n < 2:
+        return False
+    for q in MR_REFERENCE_BASES:
+        if n % q == 0:
+            return n == q
+    return all(strong_probable_prime(n, a) for a in MR_REFERENCE_BASES)
+
+
 def naive_factor(n):
     """Sorted (prime, exponent) pairs of n >= 1 by trial division."""
     out = []

@@ -1,5 +1,6 @@
 """Integer toolkit: primality, factorization, valuations, squarefreeness."""
 
+import itertools
 import math
 import random
 import sys
@@ -7,7 +8,13 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import int_digit_limit, naive_factor, naive_is_prime
+from helpers import (
+    int_digit_limit,
+    naive_factor,
+    naive_is_prime,
+    strong_probable_prime,
+    thirteen_base_is_prime,
+)
 from monobase import (
     EffortConfig,
     IntFactorization,
@@ -20,7 +27,11 @@ from monobase import (
 from monobase import integer_core
 from monobase.integer_core import (
     _BLOCK_SIZE,
+    _EARLY_PRIME_TEST_BLOCK,
+    _MR_BASES,
+    _MR_PSI,
     DEFAULT_EFFORT,
+    DETERMINISTIC_PRIME_BOUND,
     FULL_FACTOR_BOUND,
     MAX_TRIAL_DIVISION_BOUND,
     _MAX_SPAN_BLOCKS,
@@ -55,6 +66,83 @@ def test_is_prime_strong_pseudoprimes_rejected():
         assert not is_prime(n), n
     for n in (561, 41041, 825265, 321197185):  # Carmichael numbers
         assert not is_prime(n), n
+
+
+# A prime factor of each psi_k, which shows it composite without is_prime.
+PSI_FACTORS = (23, 829, 2251, 151, 6763, 1303, 10670053, 10670053,
+               149491, 149491, 149491, 399165290221, 1287836182261)
+PRIMORIAL_41 = math.prod(_MR_BASES)
+
+
+def test_each_psi_passes_its_first_k_bases_and_no_more():
+    assert len(_MR_PSI) == len(_MR_BASES) == len(PSI_FACTORS)
+    assert list(_MR_PSI) == sorted(_MR_PSI) and DETERMINISTIC_PRIME_BOUND == _MR_PSI[-1]
+    for k, (psi, q) in enumerate(zip(_MR_PSI, PSI_FACTORS), 1):
+        assert psi % q == 0 and 1 < q < psi, k
+        assert all(strong_probable_prime(psi, a) for a in _MR_BASES[:k]), k
+        # psi_(k+1) > psi_k only if base k + 1 witnesses psi_k.
+        if k < len(_MR_PSI) and _MR_PSI[k] > psi:
+            assert not strong_probable_prime(psi, _MR_BASES[k]), k
+        assert not is_prime(psi) and not is_prime(-psi), k
+
+
+def test_miller_rabin_runs_the_first_k_bases_below_psi_k(monkeypatch):
+    bases = []
+    original = integer_core._mr_composite_witness
+
+    def counting(n, a, d, s):
+        bases.append(a)
+        return original(n, a, d, s)
+
+    monkeypatch.setattr(integer_core, "_mr_composite_witness", counting)
+    # psi_4 < 10**12 + 39 < psi_5; all 13 bases ran here before.
+    assert is_prime(10**12 + 39)
+    assert bases == [2, 3, 5, 7, 11]
+    # The largest prime below psi_k passes every base it is given, which are
+    # the first k for the least k with that psi_k.
+    for psi in sorted(set(_MR_PSI)):
+        q = next(x for x in range(psi - 2, 0, -2) if thirteen_base_is_prime(x))
+        bases.clear()
+        assert is_prime(q)
+        assert bases == list(_MR_BASES[: _MR_PSI.index(psi) + 1]), psi
+
+
+def test_base_two_strong_pseudoprimes_below_1400000_are_rejected():
+    # The odd composites below the limit with no prime factor up to 41 (so
+    # that trial division does not decide them) that base 2 does not witness;
+    # psi_2 = 1373653 is one of them.
+    limit = 1_400_000
+    rough = bytearray([1]) * limit  # no prime factor up to 41
+    composite = bytearray(limit)
+    for p in range(2, math.isqrt(limit) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = bytes([1]) * len(range(p * p, limit, p))
+            if p <= 41:
+                rough[p::p] = bytes(len(range(p, limit, p)))
+    pseudoprimes = [
+        n for n in range(43, limit, 2)
+        if rough[n] and composite[n] and strong_probable_prime(n, 2)
+    ]
+    assert _MR_PSI[1] in pseudoprimes and len(pseudoprimes) > 10
+    for n in pseudoprimes:
+        assert not is_prime(n), n
+
+
+def test_is_prime_matches_the_thirteen_base_reference_in_every_tier():
+    rng = random.Random(21)
+    lows = (43 * 43,) + _MR_PSI[:-1]
+    for low, high in zip(lows, _MR_PSI):
+        if low == high:
+            continue
+        for i in range(200):
+            if i % 2:  # a product of two factors near the square root
+                r = math.isqrt(high)
+                n = rng.randrange(math.isqrt(low), r) * rng.randrange(r // 2, r)
+            else:
+                n = rng.randrange(low, high)
+            while math.gcd(n, PRIMORIAL_41) != 1:
+                n += 1
+            assert is_prime(n) == thirteen_base_is_prime(n), n
 
 
 def test_is_prime_large_known_values():
@@ -172,6 +260,15 @@ def _block_edge_inputs(bound):
         yield -x * primes[-1] ** 3
         yield x * blocks[-1][0] * blocks[0][-1] ** 2
         yield x * above
+    # Leftovers in [bound**2, FULL_FACTOR_BOUND), which the early primality
+    # test sees: primes, composites the later spans still split, and one
+    # that they cannot split.
+    least = next(q for q in itertools.count(bound**2) if is_prime(q))
+    for q in (least, 10**12 + 39, 2**64 - 59):
+        yield q
+        yield -6 * q
+        yield q * primes[-1] ** 2
+    yield from (38891 * 1000003, 99991 * 1000003, 1000003 * 1000033)
     rng = random.Random(bound)
     for _ in range(40):
         yield rng.choice((1, -1)) * math.prod(
@@ -235,6 +332,14 @@ def test_trial_division_spans_double_then_stay_at_the_cap(bound):
     assert factor_integer(2 * 3 * 5, effort).factors == ((2, 1), (3, 1), (5, 1))
     assert spans[0][3] == blocks[0]
     assert all(product is None for _, _, _, product in spans[1:])
+    # A prime leftover in [bound**2, FULL_FACTOR_BOUND) ends the walk at the
+    # span that starts at block _EARLY_PRIME_TEST_BLOCK.
+    q = next(x for x in itertools.count(bound**2) if is_prime(x))
+    assert factor_integer(q, effort).factors == ((q, 1),)
+    later = [span for span in spans if span[0] >= _EARLY_PRIME_TEST_BLOCK]
+    if later:
+        assert later[0][0] == _EARLY_PRIME_TEST_BLOCK
+        assert all(product is None for _, _, _, product in later)
     # A leftover with no prime up to the bound reaches every span.
     above = next(q for q in range(bound + 1, 2 * bound + 3) if is_prime(q))
     assert factor_integer(above**2, effort).factors == ((above, 2),)
@@ -245,8 +350,10 @@ def test_trial_division_spans_double_then_stay_at_the_cap(bound):
 
 
 def test_a_prime_free_run_costs_one_gcd_per_span(monkeypatch):
-    # 10**12 + 39 is prime and above the default bound squared, so the walk
-    # cannot stop early; the per-block walk took 151 gcds here.
+    # 10**12 + 39 is prime and in [bound**2, FULL_FACTOR_BOUND) at the default
+    # bound, so the walk tests it on reaching block _EARLY_PRIME_TEST_BLOCK and
+    # stops: one gcd for each of the five spans before it, and one to strip 6.
+    # The per-block walk took 151 gcds here, and the walk over all nine spans 10.
     calls = []
 
     class CountingMath:
@@ -261,7 +368,14 @@ def test_a_prime_free_run_costs_one_gcd_per_span(monkeypatch):
     monkeypatch.setattr(integer_core, "math", CountingMath())
     fac = factor_integer(6 * (10**12 + 39))
     assert fac.factors == ((2, 1), (3, 1), (10**12 + 39, 1)) and fac.is_complete
-    assert len(calls) <= 16
+    assert len(calls) == 6
+    # A prime leftover above FULL_FACTOR_BOUND gets no early test: it takes
+    # every span.
+    calls.clear()
+    fac = factor_integer(6 * (2**89 - 1))
+    assert fac.factors == ((2, 1), (3, 1), (2**89 - 1, 1)) and fac.is_complete
+    spans = _trial_division_table(DEFAULT_EFFORT.trial_division_bound)[2]
+    assert len(calls) == len(spans) + 1 == 10
 
 
 def test_factor_integer_rejects_zero():
@@ -385,6 +499,17 @@ def test_leftover_is_tested_for_primality_once(monkeypatch):
     fac = factor_integer(m, EffortConfig(rho_iteration_budget=0))
     assert fac.factors == () and fac.cofactor == m
     assert calls.count(m) == 1
+    # Leftovers in [bound**2, FULL_FACTOR_BOUND): the walk tests each once,
+    # and a composite one is not tested again after the walk.
+    for m in (10**12 + 39, 1000003 * 1000033):
+        calls.clear()
+        assert factor_integer(m).value == m
+        assert calls == [m]
+    # Below bound**2 the walk settles a leftover without a test.
+    for m in (10**9 + 7, 38891 * 99991):
+        calls.clear()
+        assert factor_integer(m).value == m
+        assert calls == []
 
 
 def test_squarefree_unknown_on_unsplit_composite():
