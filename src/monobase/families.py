@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .discriminant import QuadrinomialSpec
-from .integer_core import DEFAULT_EFFORT, EffortConfig, squarefree_status
+from .integer_core import DEFAULT_EFFORT, EffortConfig, SquarefreeStatus, factor_integer
 from .report import AnalysisReport, IndexStatus, analyze
 
 
@@ -80,18 +80,25 @@ def search_family(
     returned skipped with the reason.  Then x**n + c*(x + 1)**2 is
     Eisenstein at every prime of c, so analyze never refuses it.  Entries
     are independent, so results do not depend on traversal order.
+
+    c is factored once: the squarefree verdict is read off that
+    factorization (as squarefree_status would give it), and analyze gets it
+    too, so neither the irreducibility check nor the discriminant factors c
+    again; the discriminant is factored through its split d**(n-1) * R (see
+    analyze).
     """
     out: list[SearchEntry] = []
     for c in c_values:
         if c == 0 or c in (1, -1):
             out.append(SearchEntry(c, f"c = {c} is excluded"))
             continue
-        sf = squarefree_status(c, effort)
+        c_fac = factor_integer(c, effort)
+        sf = SquarefreeStatus.from_factorization(c_fac)
         if sf.status == "not_squarefree":
             out.append(SearchEntry(c, f"c is divisible by {sf.witness}**2"))
             continue
         if sf.status == "unknown":
             out.append(SearchEntry(c, "squarefreeness of c undecided"))
             continue
-        out.append(SearchEntry(c, None, analyze(template.spec(c), effort)))
+        out.append(SearchEntry(c, None, analyze(template.spec(c), effort, c_fac)))
     return out

@@ -24,6 +24,17 @@ the complete absence of rational roots to excuse degrees 1 and n-1).  Both
 mod-p certificates come from one deterministic squarefree plus distinct-degree
 pass per prime (degree_pattern_mod_p; the reduction is irreducible iff the
 pattern is [n]).  Degree patterns alone can never prove reducibility.
+
+The constant term c is factored once per analysis, or not at all when the
+caller passes its factorization (search_family does, having factored c for
+its squarefree test): the certificates read it, and so does the discriminant.
+With d = gcd(c, b/2) the closed form splits as disc f = d**(n-1) * R, so
+v_p(disc f) = (n-1)*v_p(d) + v_p(R) and only R is factored from scratch.
+That route gives exactly factor_integer(disc f) when c's factorization is
+complete, every prime of c is at most the trial division bound, and
+|R| < FULL_FACTOR_BOUND: then both routes end complete.  It is taken when
+those hold and d**(n-1) >= |R|, so that it strips most of disc f's bits;
+otherwise disc f is factored whole.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from .discriminant import QuadrinomialSpec, quadrinomial_discriminant
 from .index_criteria import CaseTag, CaseVerdict, prime_divides_index
 from .integer_core import (
     DEFAULT_EFFORT,
+    FULL_FACTOR_BOUND,
     EffortConfig,
     IntFactorization,
     factor_integer,
@@ -123,12 +135,21 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     return sums
 
 
+def _check_factors(fac: IntFactorization | None, m: int, name: str) -> None:
+    if fac is not None and fac.value != m:
+        raise ValueError(f"{name} has value {fac.value}, not {m}")
+
+
 def irreducibility_check(
-    f: ZPoly, effort: EffortConfig = DEFAULT_EFFORT
+    f: ZPoly,
+    effort: EffortConfig = DEFAULT_EFFORT,
+    c0_factorization: IntFactorization | None = None,
 ) -> IrreducibilityStatus:
     """Certify irreducibility over Q, refute it, or report unverified.
 
-    Only monic inputs of degree >= 2 are considered.
+    Only monic inputs of degree >= 2 are considered.  c0_factorization, if
+    given, must be a factorization of the constant term (ValueError
+    otherwise) and is used instead of factoring it again.
     """
     if not f.is_monic:
         raise ValueError("irreducibility check requires a monic polynomial")
@@ -136,20 +157,25 @@ def irreducibility_check(
     if n < 2:
         raise ValueError("degree must be at least 2")
     c0 = f.constant
+    _check_factors(c0_factorization, c0, "c0_factorization")
     if c0 == 0:
         return IrreducibilityStatus("reducible", "rational_root", {"root": 0})
 
-    c0_fac = factor_integer(c0, effort)
+    c0_fac = factor_integer(c0, effort) if c0_factorization is None else c0_factorization
 
     # Eisenstein: some prime divides every non-leading coefficient once at c0.
     lower_gcd = 0
     for c in f.coeffs[:-1]:
         lower_gcd = gcd(lower_gcd, c)
     if lower_gcd > 1:
-        # lower_gcd divides c0 and often equals |c0| (every pc spec); the
-        # factorization depends on |c0| only, so reuse it.
-        lower_fac = c0_fac if lower_gcd == abs(c0) else factor_integer(lower_gcd, effort)
-        for p, _ in lower_fac.factors:
+        # lower_gcd divides c0, so its primes are those of c0 that divide it.
+        # An incomplete c0_fac may miss some, so lower_gcd is then factored
+        # itself, unless it is |c0| (every pc spec), which c0_fac factors.
+        if c0_fac.is_complete or lower_gcd == abs(c0):
+            lower_primes = [p for p, _ in c0_fac.factors if lower_gcd % p == 0]
+        else:
+            lower_primes = [p for p, _ in factor_integer(lower_gcd, effort).factors]
+        for p in lower_primes:
             if c0 % (p * p) != 0:
                 return IrreducibilityStatus("irreducible", "eisenstein", {"prime": p})
 
@@ -269,11 +295,55 @@ def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int) -> PrimeVe
     return PrimeVerdict(p, e, case, 1, None)
 
 
+def _factor_discriminant(
+    spec: QuadrinomialSpec, disc: int, effort: EffortConfig, c_fac: IntFactorization
+) -> IntFactorization:
+    """factor_integer(disc, effort), through disc = d**(n-1) * R with
+    d = gcd(c, b/2) under the conditions in the module docstring.
+
+    Under the first three, R factors completely, and so does disc: trial
+    division strips every prime of d, and what is left divides R.  So both
+    routes give the unique factorization.  The merge costs about as much as
+    factoring a small disc outright, hence d**(n-1) >= |R|.
+    """
+    n = spec.n
+    if c_fac.is_complete and (
+        not c_fac.factors or c_fac.factors[-1][0] <= effort.trial_division_bound
+    ):
+        d = gcd(spec.c, spec.b // 2)
+        d_part = d ** (n - 1)
+        r = disc // d_part  # exact: d**(n-1) divides both closed-form terms
+        if abs(r) < FULL_FACTOR_BOUND and abs(r) <= d_part:
+            exponents = dict(factor_integer(r, effort).factors)
+            # d = |c| whenever c divides b/2, as in every pc spec and b = 0.
+            d_fac = c_fac.factors if d == abs(spec.c) else (
+                (p, p_valuation(d, p)[0]) for p, _ in c_fac.factors
+            )
+            for p, e in d_fac:
+                if e:
+                    exponents[p] = exponents.get(p, 0) + (n - 1) * e
+            return IntFactorization(-1 if disc < 0 else 1, tuple(sorted(exponents.items())))
+    return factor_integer(disc, effort)
+
+
 def analyze(
-    spec: QuadrinomialSpec, effort: EffortConfig = DEFAULT_EFFORT
+    spec: QuadrinomialSpec,
+    effort: EffortConfig = DEFAULT_EFFORT,
+    c_factorization: IntFactorization | None = None,
 ) -> AnalysisReport:
-    """Full monogenicity analysis of the field defined by spec's polynomial."""
-    irr = irreducibility_check(spec.polynomial(), effort)
+    """Full monogenicity analysis of the field defined by spec's polynomial.
+
+    c_factorization, if given, must be a factorization of spec.c (ValueError
+    otherwise); c is factored only when it is not given.  Either way the one
+    factorization goes to irreducibility_check and to the discriminant, which
+    is factored through its closed form d**(n-1) * R, d = gcd(c, b/2), when c
+    factors completely into primes up to the trial division bound and
+    |R| < FULL_FACTOR_BOUND and |R| <= d**(n-1), and whole otherwise.  The
+    result is factor_integer(disc f, effort) either way.
+    """
+    _check_factors(c_factorization, spec.c, "c_factorization")
+    c_fac = factor_integer(spec.c, effort) if c_factorization is None else c_factorization
+    irr = irreducibility_check(spec.polynomial(), effort, c_fac)
     if irr.status == "reducible":
         raise ReduciblePolynomialError(irr)
     caveats: list[str] = []
@@ -282,7 +352,7 @@ def analyze(
             "irreducibility unverified: verdicts assume the polynomial is irreducible"
         )
     disc = _nonzero_discriminant(spec)
-    fac = factor_integer(disc, effort)
+    fac = _factor_discriminant(spec, disc, effort, c_fac)
     if not fac.is_complete:
         caveats.append(
             f"discriminant factorization incomplete: composite cofactor {fac.cofactor}"

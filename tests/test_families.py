@@ -1,5 +1,8 @@
 """Family templates, the admissible-surface generator, and range searches."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from helpers import naive_factor
@@ -9,7 +12,7 @@ from monobase import (
     generate_spec,
     search_family,
 )
-from monobase import families, report
+from monobase import families, integer_core, report
 from monobase.integer_core import EffortConfig
 
 
@@ -75,6 +78,25 @@ def test_search_family_checks_irreducibility_once_per_spec(monkeypatch):
     entries = search_family(FamilyTemplate(5), [0, 12, 5, 7, -3])
     assert [e.skipped for e in entries] == [True, True, False, False, False]
     assert len(calls) == 3
+
+
+def test_search_family_factors_each_c_once(monkeypatch):
+    # The squarefree test, the irreducibility check and the discriminant all
+    # read one factorization of c.
+    original = integer_core.factor_integer
+    calls = Counter()
+
+    def counting(m, *args, **kwargs):
+        calls[m] += 1
+        return original(m, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("monobase") and getattr(module, "factor_integer", None) is original:
+            monkeypatch.setattr(module, "factor_integer", counting)
+    cs = [0, 1, -1, 12, 5, 7, -3, 30, -210, 1000003]
+    entries = search_family(FamilyTemplate(7), cs)
+    assert [e.skipped for e in entries] == [True] * 4 + [False] * 6
+    assert [calls[c] for c in cs] == [0, 0, 0] + [1] * 7
 
 
 def test_search_family_analyzes_each_admissible_spec_once(monkeypatch):

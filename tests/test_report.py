@@ -2,11 +2,14 @@
 
 import dataclasses
 import json
+import math
+import random
 
 import pytest
 
 from helpers import EXAMPLE_TRIO, random_specs, trio_spec
 from monobase import (
+    DEFAULT_EFFORT,
     FamilyTemplate,
     QuadrinomialSpec,
     ReduciblePolynomialError,
@@ -15,6 +18,7 @@ from monobase import (
     cross_check_with_dedekind,
     factor_integer,
     irreducibility_check,
+    quadrinomial_discriminant,
 )
 from monobase import report
 from monobase.integer_core import EffortConfig, IntFactorization
@@ -48,6 +52,30 @@ def test_irreducibility_factors_a_pc_constant_once(monkeypatch):
     res = irreducibility_check(FamilyTemplate(7).spec(-12).polynomial())
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 3})
     assert calls == [-12]
+
+
+def test_eisenstein_reads_the_gcd_primes_off_the_constant(monkeypatch):
+    # The lower coefficients 18, 12, 2 have gcd 2, neither 1 nor |c0|: its
+    # primes are read off the factorization of 18, not factored again.
+    calls = []
+
+    def counting(m, effort):
+        calls.append(m)
+        return factor_integer(m, effort)
+
+    monkeypatch.setattr(report, "factor_integer", counting)
+    res = irreducibility_check(QuadrinomialSpec(5, 2, 12, 18).polynomial())
+    assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
+    assert calls == [18]
+
+    # An incomplete factorization of c0 may miss primes of the gcd, which is
+    # then factored itself.  Here c0 = 18 * P * Q and the gcd is 2 * P * Q.
+    big = (2**89 - 1) * (2**107 - 1)
+    calls.clear()
+    low = EffortConfig(trial_division_bound=50, rho_iteration_budget=0)
+    res = irreducibility_check(QuadrinomialSpec(5, 2 * big, 12 * big, 18 * big).polynomial(), low)
+    assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
+    assert calls == [18 * big, 2 * big]
 
 
 @pytest.mark.parametrize(
@@ -187,6 +215,97 @@ def test_analyze_raises_when_valuation_bookkeeping_breaks(monkeypatch):
     monkeypatch.setattr(report, "_prime_verdict", shifted)
     with pytest.raises(ArithmeticError, match="bookkeeping"):
         analyze(spec)
+
+
+_DISC_EFFORTS = (
+    DEFAULT_EFFORT,
+    EffortConfig(trial_division_bound=50, rho_iteration_budget=0),
+    EffortConfig(trial_division_bound=1000, rho_iteration_budget=200),
+    EffortConfig(trial_division_bound=2, rho_iteration_budget=10**6),
+)
+
+
+def _disc_specs():
+    rng = random.Random(22)
+    pc = [
+        FamilyTemplate(rng.randint(3, 12)).spec(rng.choice((-1, 1)) * rng.randint(2, 3000))
+        for _ in range(60)
+    ]
+    zero_b = [
+        QuadrinomialSpec(n, 0, 0, c)
+        for n, c in ((3, 2), (4, -3), (5, -72), (7, 1000003), (9, 10), (10, -1))
+    ]
+    # c = 1000003 is a prime above every bound here; the degree-22 and -20
+    # specs have |R| above FULL_FACTOR_BOUND.  These take the whole route.
+    whole = [
+        FamilyTemplate(5).spec(1000003),
+        QuadrinomialSpec(22, 42, 84, 42),
+        QuadrinomialSpec(20, 3456, 39744, 114264),
+    ]
+    specs = random_specs(22, 60) + pc + zero_b + whole
+    return [spec for spec in specs if quadrinomial_discriminant(spec) != 0]
+
+
+@pytest.mark.parametrize("effort", _DISC_EFFORTS)
+def test_analyze_factors_the_discriminant_as_factor_integer_does(effort):
+    checked = 0
+    for spec in _disc_specs():
+        try:
+            rep = analyze(spec, effort)
+        except ReduciblePolynomialError:
+            continue
+        assert rep.disc_poly_factorization == factor_integer(rep.disc_poly, effort), spec
+        checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize(
+    "spec, effort, split",
+    [
+        (FamilyTemplate(7).spec(30), DEFAULT_EFFORT, True),
+        (QuadrinomialSpec(6, 0, 0, -72), DEFAULT_EFFORT, True),
+        # |R| = 761043 > 5**6: most of disc f is R, so the split saves nothing
+        (FamilyTemplate(7).spec(5), DEFAULT_EFFORT, False),
+        (FamilyTemplate(5).spec(99991), DEFAULT_EFFORT, True),
+        # a prime of c above the bound
+        (FamilyTemplate(5).spec(1000003), DEFAULT_EFFORT, False),
+        (FamilyTemplate(5).spec(1000003), _DISC_EFFORTS[1], False),
+        # |R| >= FULL_FACTOR_BOUND
+        (QuadrinomialSpec(22, 42, 84, 42), DEFAULT_EFFORT, False),
+        # c's factorization incomplete
+        (QuadrinomialSpec(5, 0, 0, (2**89 - 1) * (2**107 - 1)), _DISC_EFFORTS[1], False),
+    ],
+)
+def test_analyze_factors_the_cofactor_or_the_whole_discriminant(monkeypatch, spec, effort, split):
+    calls = []
+
+    def counting(m, effort):
+        calls.append(m)
+        return factor_integer(m, effort)
+
+    monkeypatch.setattr(report, "factor_integer", counting)
+    rep = analyze(spec, effort)
+    d = math.gcd(spec.c, spec.b // 2)
+    disc = rep.disc_poly
+    assert calls[0] == spec.c
+    assert calls[-1] == (disc // d ** (spec.n - 1) if split else disc)
+    assert disc not in calls[:-1]
+    assert rep.disc_poly_factorization == factor_integer(disc, effort)
+
+
+def test_a_factorization_of_another_number_is_refused():
+    spec = FamilyTemplate(7).spec(5)
+    f = spec.polynomial()
+    for wrong in (factor_integer(-5), factor_integer(10), IntFactorization(1, (), 7)):
+        with pytest.raises(ValueError, match="c_factorization"):
+            analyze(spec, DEFAULT_EFFORT, wrong)
+        with pytest.raises(ValueError, match="c0_factorization"):
+            irreducibility_check(f, DEFAULT_EFFORT, wrong)
+    with pytest.raises(ValueError, match="c0_factorization"):
+        irreducibility_check(ZPoly((0, 0, 1)), DEFAULT_EFFORT, factor_integer(5))
+    right = factor_integer(5)
+    assert analyze(spec, DEFAULT_EFFORT, right) == analyze(spec)
+    assert irreducibility_check(f, DEFAULT_EFFORT, right) == irreducibility_check(f)
 
 
 def test_analyze_incomplete_factorization_caveat():
