@@ -8,7 +8,7 @@ Under that constraint the discriminant collapses to a closed form:
 route; discriminant_via_resultant is the independent slow route used to
 cross-check it.  With d = gcd(c, b/2), both terms are divisible by
 d**(n-1), so disc(f) = d**(n-1) * R; analyze factors R rather than disc(f)
-when c's factorization is known.
+when that saves trial division (see report.py).
 
 double_root_divisibility_test decides p**2 | disc(f) without computing the
 discriminant, for primes p coprime to b*(n-2): f has a double root mod p**2

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .discriminant import QuadrinomialSpec
-from .integer_core import DEFAULT_EFFORT, EffortConfig, SquarefreeStatus, factor_integer
+from .integer_core import DEFAULT_EFFORT, EffortConfig, factor_integer
 from .report import AnalysisReport, IndexStatus, analyze
 
 
@@ -82,22 +82,24 @@ def search_family(
     are independent, so results do not depend on traversal order.
 
     c is factored once: the squarefree verdict is read off that
-    factorization (as squarefree_status would give it), and analyze gets it
-    too, so neither the irreducibility check nor the discriminant factors c
-    again; the discriminant is factored through its split d**(n-1) * R (see
-    analyze).
+    factorization, as squarefree_status reads it, and analyze gets it too.
+    So the irreducibility check does not factor c again, and when c has a
+    prime above 311 the discriminant is factored through its split
+    d**(n-1) * R, without finding c's primes again (see analyze).
     """
     out: list[SearchEntry] = []
     for c in c_values:
         if c == 0 or c in (1, -1):
             out.append(SearchEntry(c, f"c = {c} is excluded"))
             continue
+        # squarefree_status(c) read off c_fac: the smallest repeated prime
+        # refutes, and an unfactored cofactor leaves it undecided.
         c_fac = factor_integer(c, effort)
-        sf = SquarefreeStatus.from_factorization(c_fac)
-        if sf.status == "not_squarefree":
-            out.append(SearchEntry(c, f"c is divisible by {sf.witness}**2"))
+        witness = next((p for p, e in c_fac.factors if e >= 2), None)
+        if witness is not None:
+            out.append(SearchEntry(c, f"c is divisible by {witness}**2"))
             continue
-        if sf.status == "unknown":
+        if not c_fac.is_complete:
             out.append(SearchEntry(c, "squarefreeness of c undecided"))
             continue
         out.append(SearchEntry(c, None, analyze(template.spec(c), effort, c_fac)))

@@ -470,18 +470,13 @@ class SquarefreeStatus:
     def is_squarefree(self) -> bool:
         return self.status == "squarefree"
 
-    @classmethod
-    def from_factorization(cls, fac: IntFactorization) -> SquarefreeStatus:
-        """The verdict a factorization supports: the smallest repeated listed
-        prime refutes; otherwise an unfactored cofactor leaves it unknown."""
-        for p, e in fac.factors:
-            if e >= 2:
-                return cls("not_squarefree", p)
-        return cls("squarefree" if fac.is_complete else "unknown")
-
 
 def squarefree_status(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> SquarefreeStatus:
     """Decide whether |m| is squarefree, allowing Unknown on factoring failure."""
     if m == 0:
         raise ValueError("0 is not squarefree and has no witness prime")
-    return SquarefreeStatus.from_factorization(factor_integer(m, effort))
+    fac = factor_integer(m, effort)
+    for p, e in fac.factors:
+        if e >= 2:
+            return SquarefreeStatus("not_squarefree", p)
+    return SquarefreeStatus("squarefree" if fac.is_complete else "unknown")

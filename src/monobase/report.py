@@ -33,7 +33,8 @@ v_p(disc f) = (n-1)*v_p(d) + v_p(R) and only R is factored from scratch.
 That route gives exactly factor_integer(disc f) when c's factorization is
 complete, every prime of c is at most the trial division bound, and
 |R| < FULL_FACTOR_BOUND: then both routes end complete.  It is taken when
-those hold and d**(n-1) >= |R|, so that it strips most of disc f's bits;
+those hold and c has a prime above _SPLIT_MIN_PRIME, the last prime of trial
+division's first block, which the whole route would have to walk up to;
 otherwise disc f is factored whole.
 """
 
@@ -57,6 +58,15 @@ from .polynomials import ZPoly, degree_pattern_mod_p
 
 _MAX_ROOT_CANDIDATES = 4096
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+# The 64th prime, the last in trial division's first block.  Factoring R
+# rather than disc f pays only when c has a prime above it.  Paired timing of
+# the two routes per spec (min of 11 runs, 12,000 seed-5 search_pc specs,
+# 2-vCPU x86_64, CPython 3.11.7), by the largest prime of c: split / whole
+# 1.04-1.18 up to 41, 0.93-1.01 for 43-311, 0.90 for 313-719, 0.86 for
+# 727-1999 and 0.77 above; seed 41 reads 0.94-1.09, 0.94-1.02, 0.89, 0.90 and
+# 0.81.  On analyze_small specs, whose primes of c are at most 7, splitting
+# every time took 1.7% longer.
+_SPLIT_MIN_PRIME = 311
 
 
 @dataclass(frozen=True)
@@ -135,11 +145,6 @@ def _subset_sums(degrees: list[int]) -> set[int]:
     return sums
 
 
-def _check_factors(fac: IntFactorization | None, m: int, name: str) -> None:
-    if fac is not None and fac.value != m:
-        raise ValueError(f"{name} has value {fac.value}, not {m}")
-
-
 def irreducibility_check(
     f: ZPoly,
     effort: EffortConfig = DEFAULT_EFFORT,
@@ -148,8 +153,10 @@ def irreducibility_check(
     """Certify irreducibility over Q, refute it, or report unverified.
 
     Only monic inputs of degree >= 2 are considered.  c0_factorization, if
-    given, must be a factorization of the constant term (ValueError
-    otherwise) and is used instead of factoring it again.
+    given, is used instead of factoring the constant term again; it must be
+    factor_integer(constant term, effort) at the same effort.  Only its value
+    is checked (ValueError if it is another number): its primes are taken as
+    prime, as IntFactorization states.
     """
     if not f.is_monic:
         raise ValueError("irreducibility check requires a monic polynomial")
@@ -157,7 +164,11 @@ def irreducibility_check(
     if n < 2:
         raise ValueError("degree must be at least 2")
     c0 = f.constant
-    _check_factors(c0_factorization, c0, "c0_factorization")
+    if c0_factorization is not None and c0_factorization.value != c0:
+        raise ValueError(
+            f"the factorization of the constant term has value "
+            f"{c0_factorization.value}, not {c0}"
+        )
     if c0 == 0:
         return IrreducibilityStatus("reducible", "rational_root", {"root": 0})
 
@@ -169,9 +180,11 @@ def irreducibility_check(
         lower_gcd = gcd(lower_gcd, c)
     if lower_gcd > 1:
         # lower_gcd divides c0, so its primes are those of c0 that divide it.
-        # An incomplete c0_fac may miss some, so lower_gcd is then factored
-        # itself, unless it is |c0| (every pc spec), which c0_fac factors.
-        if c0_fac.is_complete or lower_gcd == abs(c0):
+        # Below FULL_FACTOR_BOUND both factor completely, so reading them off
+        # c0_fac lists what factor_integer(lower_gcd) would.  Above it c0_fac
+        # may be incomplete, or complete only through rho, and lower_gcd is
+        # factored itself, unless it is |c0| (every pc spec).
+        if lower_gcd == abs(c0) or abs(c0) < FULL_FACTOR_BOUND:
             lower_primes = [p for p, _ in c0_fac.factors if lower_gcd % p == 0]
         else:
             lower_primes = [p for p, _ in factor_integer(lower_gcd, effort).factors]
@@ -301,29 +314,27 @@ def _factor_discriminant(
     """factor_integer(disc, effort), through disc = d**(n-1) * R with
     d = gcd(c, b/2) under the conditions in the module docstring.
 
-    Under the first three, R factors completely, and so does disc: trial
+    When c factors completely into primes up to the bound and
+    |R| < FULL_FACTOR_BOUND, R factors completely, and so does disc: trial
     division strips every prime of d, and what is left divides R.  So both
-    routes give the unique factorization.  The merge costs about as much as
-    factoring a small disc outright, hence d**(n-1) >= |R|.
+    routes give the unique factorization.
     """
-    n = spec.n
-    if c_fac.is_complete and (
-        not c_fac.factors or c_fac.factors[-1][0] <= effort.trial_division_bound
+    if not (
+        c_fac.is_complete
+        and c_fac.factors
+        and _SPLIT_MIN_PRIME < c_fac.factors[-1][0] <= effort.trial_division_bound
     ):
-        d = gcd(spec.c, spec.b // 2)
-        d_part = d ** (n - 1)
-        r = disc // d_part  # exact: d**(n-1) divides both closed-form terms
-        if abs(r) < FULL_FACTOR_BOUND and abs(r) <= d_part:
-            exponents = dict(factor_integer(r, effort).factors)
-            # d = |c| whenever c divides b/2, as in every pc spec and b = 0.
-            d_fac = c_fac.factors if d == abs(spec.c) else (
-                (p, p_valuation(d, p)[0]) for p, _ in c_fac.factors
-            )
-            for p, e in d_fac:
-                if e:
-                    exponents[p] = exponents.get(p, 0) + (n - 1) * e
-            return IntFactorization(-1 if disc < 0 else 1, tuple(sorted(exponents.items())))
-    return factor_integer(disc, effort)
+        return factor_integer(disc, effort)
+    n = spec.n
+    d = gcd(spec.c, spec.b // 2)
+    r = disc // d ** (n - 1)  # exact: d**(n-1) divides both closed-form terms
+    if abs(r) >= FULL_FACTOR_BOUND:
+        return factor_integer(disc, effort)
+    exponents = dict(factor_integer(r, effort).factors)
+    # Every prime of c divides d: (b/2)**2 = ac, and d = |c| when b = 0.
+    for p, _ in c_fac.factors:
+        exponents[p] = exponents.get(p, 0) + (n - 1) * p_valuation(d, p)[0]
+    return IntFactorization(-1 if disc < 0 else 1, tuple(sorted(exponents.items())))
 
 
 def analyze(
@@ -333,16 +344,18 @@ def analyze(
 ) -> AnalysisReport:
     """Full monogenicity analysis of the field defined by spec's polynomial.
 
-    c_factorization, if given, must be a factorization of spec.c (ValueError
-    otherwise); c is factored only when it is not given.  Either way the one
+    c_factorization, if given, must be factor_integer(spec.c, effort) at the
+    same effort; c is factored only when it is not given.  Only its value is
+    checked (ValueError if it is another number).  Either way the one
     factorization goes to irreducibility_check and to the discriminant, which
     is factored through its closed form d**(n-1) * R, d = gcd(c, b/2), when c
-    factors completely into primes up to the trial division bound and
-    |R| < FULL_FACTOR_BOUND and |R| <= d**(n-1), and whole otherwise.  The
-    result is factor_integer(disc f, effort) either way.
+    factors completely into primes up to the trial division bound, one of
+    them above _SPLIT_MIN_PRIME = 311, and |R| < FULL_FACTOR_BOUND; and whole
+    otherwise.  The result is factor_integer(disc f, effort) either way.
     """
-    _check_factors(c_factorization, spec.c, "c_factorization")
     c_fac = factor_integer(spec.c, effort) if c_factorization is None else c_factorization
+    # irreducibility_check raises on a c_fac of another number before the
+    # discriminant reads it.
     irr = irreducibility_check(spec.polynomial(), effort, c_fac)
     if irr.status == "reducible":
         raise ReduciblePolynomialError(irr)

@@ -13,7 +13,7 @@ from monobase import (
     search_family,
 )
 from monobase import families, integer_core, report
-from monobase.integer_core import EffortConfig
+from monobase.integer_core import EffortConfig, squarefree_status
 
 
 def _is_squarefree(m):
@@ -64,6 +64,14 @@ def test_search_family_skip_reasons():
     assert by_c[5].monogenic == "yes"
     assert by_c[5].index.kind == "exact" and by_c[5].index.value == 1
     assert by_c[5].report is not None
+    # The witness is squarefree_status's, the smallest repeated prime: 3 for
+    # 18 = 2 * 3**2.
+    for entry in search_family(FamilyTemplate(3), range(-300, 301)):
+        if entry.c not in (0, 1, -1):
+            sf = squarefree_status(entry.c)
+            assert entry.skipped == (not sf.is_squarefree)
+            if sf.witness is not None:
+                assert entry.reason == f"c is divisible by {sf.witness}**2"
 
 
 def test_search_family_checks_irreducibility_once_per_spec(monkeypatch):

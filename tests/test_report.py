@@ -77,6 +77,14 @@ def test_eisenstein_reads_the_gcd_primes_off_the_constant(monkeypatch):
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
     assert calls == [18 * big, 2 * big]
 
+    # From FULL_FACTOR_BOUND up the gcd is factored itself even when the
+    # factorization of c0 is complete, here c0 = 18 * P with P prime.
+    prime = 2**89 - 1
+    calls.clear()
+    res = irreducibility_check(QuadrinomialSpec(5, 2 * prime, 12 * prime, 18 * prime).polynomial())
+    assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
+    assert calls == [18 * prime, 2 * prime]
+
 
 @pytest.mark.parametrize(
     "n, c, prime", [(7, -12, 3), (3, 6, 2), (5, -30, 2), (12, 101, 101), (9, 18, 2)]
@@ -262,16 +270,21 @@ def test_analyze_factors_the_discriminant_as_factor_integer_does(effort):
 @pytest.mark.parametrize(
     "spec, effort, split",
     [
-        (FamilyTemplate(7).spec(30), DEFAULT_EFFORT, True),
-        (QuadrinomialSpec(6, 0, 0, -72), DEFAULT_EFFORT, True),
-        # |R| = 761043 > 5**6: most of disc f is R, so the split saves nothing
-        (FamilyTemplate(7).spec(5), DEFAULT_EFFORT, False),
         (FamilyTemplate(5).spec(99991), DEFAULT_EFFORT, True),
+        (FamilyTemplate(7).spec(626), DEFAULT_EFFORT, True),
+        (QuadrinomialSpec(5, 0, 0, 626), DEFAULT_EFFORT, True),
+        # d = 626 = 2 * 313 while c = 4 * 313: v_2(d) = 1, not v_2(c)
+        (QuadrinomialSpec(7, 313, 1252, 1252), DEFAULT_EFFORT, True),
+        (QuadrinomialSpec(7, -313, 1252, -1252), _DISC_EFFORTS[2], True),
+        # every prime of c at most 311, so splitting saves nothing
+        (FamilyTemplate(7).spec(30), DEFAULT_EFFORT, False),
+        (QuadrinomialSpec(6, 0, 0, -72), DEFAULT_EFFORT, False),
+        (FamilyTemplate(7).spec(5), DEFAULT_EFFORT, False),
         # a prime of c above the bound
         (FamilyTemplate(5).spec(1000003), DEFAULT_EFFORT, False),
-        (FamilyTemplate(5).spec(1000003), _DISC_EFFORTS[1], False),
+        (FamilyTemplate(7).spec(626), _DISC_EFFORTS[1], False),
         # |R| >= FULL_FACTOR_BOUND
-        (QuadrinomialSpec(22, 42, 84, 42), DEFAULT_EFFORT, False),
+        (FamilyTemplate(20).spec(313), DEFAULT_EFFORT, False),
         # c's factorization incomplete
         (QuadrinomialSpec(5, 0, 0, (2**89 - 1) * (2**107 - 1)), _DISC_EFFORTS[1], False),
     ],
@@ -297,11 +310,11 @@ def test_a_factorization_of_another_number_is_refused():
     spec = FamilyTemplate(7).spec(5)
     f = spec.polynomial()
     for wrong in (factor_integer(-5), factor_integer(10), IntFactorization(1, (), 7)):
-        with pytest.raises(ValueError, match="c_factorization"):
+        with pytest.raises(ValueError, match="factorization of the constant term"):
             analyze(spec, DEFAULT_EFFORT, wrong)
-        with pytest.raises(ValueError, match="c0_factorization"):
+        with pytest.raises(ValueError, match="factorization of the constant term"):
             irreducibility_check(f, DEFAULT_EFFORT, wrong)
-    with pytest.raises(ValueError, match="c0_factorization"):
+    with pytest.raises(ValueError, match="factorization of the constant term"):
         irreducibility_check(ZPoly((0, 0, 1)), DEFAULT_EFFORT, factor_integer(5))
     right = factor_integer(5)
     assert analyze(spec, DEFAULT_EFFORT, right) == analyze(spec)
