@@ -9,12 +9,9 @@ with each span's product (Bernstein's batch trial division).  A gcd of 1 skips
 the whole span; a gcd below the span's smallest prime squared is one prime; only
 a gcd with several primes is split block by block.  So a number with no prime
 below the bound costs at most nine C-level gcds at the default bound rather
-than one per block of primes or one Python-level remainder per prime.  A
-leftover in [bound**2, 2**64) that reaches block 16 is tested for primality
-there, once; a prime one ends the walk after five gcds at the default bound,
-and a composite one is not tested again afterwards.  The primes and
-block products are built on first use and cached per bound, and each span
-product when a walk first reaches its span, so a process that factors only
+than one per block of primes or one Python-level remainder per prime.  The
+primes and block products are built on first use and cached per bound, and each
+span product when a walk first reaches its span, so a process that factors only
 small numbers never builds the large ones.  A composite that is a perfect power
 r**k goes on as r, since rho cannot split the power of a large prime.  Below
 3.3e24, Miller-Rabin runs only as many of the bases 2, 3, 5, ..., 41 as the
@@ -22,9 +19,10 @@ published bounds psi_k need for the input's size.  A factorization may be
 partial: the unfactored part is carried in a ``cofactor`` field (1 when
 complete) so callers can degrade gracefully instead of failing.
 
-All randomized routines draw from a generator seeded from the configured seed
-and the input, so results are reproducible regardless of call order.  The input
-enters the seed in decimal below 10**4300 and in hex above, so that keys never
+Pollard rho draws from a generator seeded by the configured rng_seed and the
+input, and Miller-Rabin above 3.3e24 draws its bases from one seeded by
+DEFAULT_SEED and the input, so results do not depend on call order.  The input
+enters a seed in decimal below 10**4300 and in hex above, so that keys never
 meet Python's default limit on int-to-str conversion.
 """
 
@@ -87,14 +85,13 @@ _BLOCK_SIZE = 64
 # that doubled to the end would take about nine times as long to build.
 _MAX_SPAN_BLOCKS = 64
 
-# On reaching the span that starts at this block, _trial_divide tests a leftover
-# in [bound**2, FULL_FACTOR_BOUND) for primality once, and a prime one ends the
-# walk.  At the default bound the spans from block 16 on hold 132,235 of the
-# 143,819 bits of the span products.  The p99 of search_pc item time (40,000
-# items each of seeds 5 and 41, each item run under every choice in turn;
-# 2-vCPU x86_64, CPython 3.11) read 257 / 327 us with no early test, and
-# 240 / 306, 230 / 276, 222 / 256, 204 / 245 and 203 / 246 us at blocks 1, 4,
-# 8, 16 and 32; total time was lowest at 16.  An earlier test more often meets
+# The block at which _trial_divide tests a large leftover for primality.  At
+# the default bound the spans from block 16 on hold 132,235 of the 143,819 bits
+# of the span products.  The p99 of search_pc item time (40,000 items each of
+# seeds 5 and 41, each item run under every choice in turn; 2-vCPU x86_64,
+# CPython 3.11) read 257 / 327 us with no early test, and 240 / 306, 230 / 276,
+# 222 / 256, 204 / 245 and 203 / 246 us at blocks 1, 4, 8, 16 and 32; total
+# time was lowest at 16.  An earlier test more often meets
 # a leftover that a later span still splits, whose rest is then tested again.
 _EARLY_PRIME_TEST_BLOCK = 16
 
@@ -168,18 +165,16 @@ def _trial_division_table(bound: int) -> tuple[tuple[int, ...], tuple[int, ...],
     return primes, blocks, spans
 
 
-def _trial_divide(rest: int, bound: int, found: set[int]) -> tuple[int, int]:
-    """Add to found every prime up to bound that divides rest, and return
-    (rest without them, composite).  Stops before the first span whose
-    smallest prime squared exceeds what is left, which is then 1 or a prime.
+def _trial_divide(rest: int, bound: int, found: set[int]) -> int:
+    """Add to found every prime up to bound that divides rest, and return rest
+    without them.  Stops before the first span whose smallest prime squared
+    exceeds what is left, which is then 1 or a prime.
 
     On reaching the span that starts at block _EARLY_PRIME_TEST_BLOCK with
-    bound**2 <= rest < FULL_FACTOR_BOUND, tests rest for primality once: a
-    prime rest goes into found and the walk returns 1, since no prime up to
-    bound divides it.  composite is the rest that test found composite, or 0,
-    so that factor_integer does not test it again."""
+    bound**2 <= rest < FULL_FACTOR_BOUND, tests rest for primality: a prime
+    rest goes into found and the walk returns 1, since no prime up to bound
+    divides it, which skips the largest spans.  A composite rest walks on."""
     primes, blocks, spans = _trial_division_table(bound)
-    composite = 0
     for span in spans:
         first, stop, least_square, product = span
         if least_square > rest:
@@ -189,8 +184,7 @@ def _trial_divide(rest: int, bound: int, found: set[int]) -> tuple[int, int]:
         if first == _EARLY_PRIME_TEST_BLOCK and bound * bound <= rest < FULL_FACTOR_BOUND:
             if is_prime(rest):  # deterministic below FULL_FACTOR_BOUND
                 found.add(rest)
-                return 1, 0
-            composite = rest
+                return 1
         if product is None:
             product = span[3] = _pairwise_product(blocks[first:stop])
         # g is the squarefree product of the span's primes that divide rest.
@@ -224,7 +218,7 @@ def _trial_divide(rest: int, bound: int, found: set[int]) -> tuple[int, int]:
                 found.add(gb)
             if g == 1:
                 break
-    return rest, composite
+    return rest
 
 
 def _key(n: int) -> str:
@@ -243,15 +237,15 @@ def _mr_composite_witness(n: int, a: int, d: int, s: int) -> bool:
     return True
 
 
-def is_prime(m: int, *, seed: int = DEFAULT_SEED) -> bool:
+def is_prime(m: int) -> bool:
     """True iff |m| is prime.
 
     Below 43**2 = 1849, trial division by the primes of _MR_BASES decides
     alone.  Below DETERMINISTIC_PRIME_BOUND = psi_13 it is deterministic: it
     runs Miller-Rabin to the first k bases of _MR_BASES for the least k with
     |m| < psi_k (_MR_PSI), so 5 rounds near 10**12 and 12 near 2**64.  Above
-    it, runs _MR_ROUNDS rounds with bases from a generator seeded by (seed, m);
-    the error probability is at most 2**-128.
+    it, runs _MR_ROUNDS rounds with bases from a generator seeded by
+    (DEFAULT_SEED, m); the error probability is at most 2**-128.
     """
     n = abs(m)
     if n < 2:
@@ -268,7 +262,7 @@ def is_prime(m: int, *, seed: int = DEFAULT_SEED) -> bool:
     k = bisect_right(_MR_PSI, n) + 1
     if k <= len(_MR_BASES):
         return not any(_mr_composite_witness(n, a, d, s) for a in _MR_BASES[:k])
-    rng = random.Random(f"is_prime:{seed}:{_key(n)}")
+    rng = random.Random(f"is_prime:{DEFAULT_SEED}:{_key(n)}")
     return not any(
         _mr_composite_witness(n, rng.randrange(2, n - 1), d, s)
         for _ in range(_MR_ROUNDS)
@@ -396,11 +390,7 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     span whose product is coprime to it, and otherwise strips the primes of
     that gcd and finds them, block by block unless the gcd is a single prime.
     This finds the same primes as one remainder per prime would, so the
-    result does not depend on the spans.  A leftover in [bound**2,
-    FULL_FACTOR_BOUND) that reaches the span at block _EARLY_PRIME_TEST_BLOCK
-    is tested for primality there: a prime one ends the walk, since no later
-    span can divide it, and a composite one that the later spans leave
-    unchanged is not tested again.  A composite cofactor above the bound
+    result does not depend on the spans.  A composite cofactor above the bound
     squared goes to Brent rho, except that a perfect power r**k (k prime) is
     replaced by r first.
 
@@ -412,7 +402,7 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     sign = -1 if m < 0 else 1
     n = abs(m)
     found: set[int] = set()
-    rest, composite = _trial_divide(n, effort.trial_division_bound, found)
+    rest = _trial_divide(n, effort.trial_division_bound, found)
     # rest has no prime up to the bound, or is below the next prime squared:
     # either way a piece below the bound squared is prime.
     rng = None
@@ -420,9 +410,7 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
     stack = [rest] if rest > 1 else []
     while stack:
         x = stack.pop()
-        if x < effort.trial_division_bound**2 or (
-            x != composite and is_prime(x, seed=effort.rng_seed)
-        ):
+        if x < effort.trial_division_bound**2 or is_prime(x):
             found.add(x)
             continue
         root = _perfect_power_root(x, effort.trial_division_bound)

@@ -201,7 +201,7 @@ def per_prime_factor_integer(m, effort):
             while rest % p == 0:
                 rest //= p
     if rest > 1:
-        if rest < effort.trial_division_bound**2 or is_prime(rest, seed=effort.rng_seed):
+        if rest < effort.trial_division_bound**2 or is_prime(rest):
             found.add(rest)
         else:
             rng = random.Random(f"rho:{effort.rng_seed}:{n}")
@@ -209,7 +209,7 @@ def per_prime_factor_integer(m, effort):
             stack = [rest]
             while stack:
                 x = stack.pop()
-                if is_prime(x, seed=effort.rng_seed):
+                if is_prime(x):
                     found.add(x)
                     continue
                 d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
@@ -486,25 +486,30 @@ def test_rng_keys_of_long_inputs_stay_under_the_default_digit_limit(monkeypatch)
         assert fac.is_complete and fac.factors == ((2, 14300), (1000003, 1), (1000033, 1))
 
 
-def test_leftover_is_tested_for_primality_once(monkeypatch):
+def test_where_a_leftover_is_tested_for_primality(monkeypatch):
     m = (2**89 - 1) * (2**107 - 1)
     original = integer_core.is_prime
     calls = []
 
-    def counting(x, **kwargs):
+    def counting(x):
         calls.append(x)
-        return original(x, **kwargs)
+        return original(x)
 
     monkeypatch.setattr(integer_core, "is_prime", counting)
     fac = factor_integer(m, EffortConfig(rho_iteration_budget=0))
     assert fac.factors == () and fac.cofactor == m
     assert calls.count(m) == 1
-    # Leftovers in [bound**2, FULL_FACTOR_BOUND): the walk tests each once,
-    # and a composite one is not tested again after the walk.
-    for m in (10**12 + 39, 1000003 * 1000033):
-        calls.clear()
-        assert factor_integer(m).value == m
-        assert calls == [m]
+    # Leftovers in [bound**2, FULL_FACTOR_BOUND): the walk tests each once
+    # and settles a prime one; factor_integer tests a composite one again
+    # before rho.
+    m = 10**12 + 39
+    calls.clear()
+    assert factor_integer(m).value == m
+    assert calls == [m]
+    m = 1000003 * 1000033
+    calls.clear()
+    assert factor_integer(m).value == m
+    assert calls == [m, m]
     # Below bound**2 the walk settles a leftover without a test.
     for m in (10**9 + 7, 38891 * 99991):
         calls.clear()

@@ -92,22 +92,25 @@ def _perfbench_trees():
 
 def test_perfbench_monobase_names_exist():
     # The benchmark lives outside the package and is not run by the tests, so
-    # narrowing the public API could break it silently.  Covers both
-    # `from monobase import X` and `monobase.X` attribute reads.
+    # narrowing the public API could break it silently.  A name imported
+    # `from monobase` must be in monobase.__all__; a `monobase.X` attribute
+    # read must exist.
     missing = []
     for name, tree in _perfbench_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "monobase":
-                used = [alias.name for alias in node.names]
+                missing += [
+                    f"{name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name not in monobase.__all__
+                ]
             elif (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "monobase"
+                and not hasattr(monobase, node.attr)
             ):
-                used = [node.attr]
-            else:
-                continue
-            missing += [f"{name}:{node.lineno} {u}" for u in used if not hasattr(monobase, u)]
+                missing.append(f"{name}:{node.lineno} {node.attr}")
     assert missing == []
 
 
