@@ -502,14 +502,10 @@ def test_where_a_leftover_is_tested_for_primality(monkeypatch):
     # Leftovers in [bound**2, FULL_FACTOR_BOUND): the walk tests each once
     # and settles a prime one; factor_integer tests a composite one again
     # before rho.
-    m = 10**12 + 39
-    calls.clear()
-    assert factor_integer(m).value == m
-    assert calls == [m]
-    m = 1000003 * 1000033
-    calls.clear()
-    assert factor_integer(m).value == m
-    assert calls == [m, m]
+    for m, tests in ((10**12 + 39, 1), (1000003 * 1000033, 2)):
+        calls.clear()
+        assert factor_integer(m).value == m
+        assert calls == [m] * tests
     # Below bound**2 the walk settles a leftover without a test.
     for m in (10**9 + 7, 38891 * 99991):
         calls.clear()

@@ -99,18 +99,16 @@ def test_perfbench_monobase_names_exist():
     for name, tree in _perfbench_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "monobase":
-                missing += [
-                    f"{name}:{node.lineno} {alias.name}"
-                    for alias in node.names
-                    if alias.name not in monobase.__all__
-                ]
+                used, known = [alias.name for alias in node.names], monobase.__all__
             elif (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "monobase"
-                and not hasattr(monobase, node.attr)
             ):
-                missing.append(f"{name}:{node.lineno} {node.attr}")
+                used, known = [node.attr], dir(monobase)
+            else:
+                continue
+            missing += [f"{name}:{node.lineno} {u}" for u in used if u not in known]
     assert missing == []
 
 
