@@ -38,7 +38,7 @@ def generate_spec(u: int, v: int, w: int, n: int) -> QuadrinomialSpec:
     return QuadrinomialSpec(n, u * w * w, 2 * u * v * w, u * v * v)
 
 
-@dataclass(frozen=True)
+@dataclass
 class SearchEntry:
     """One parameter value of a family search: skipped with a reason, or
     analyzed with its report."""

@@ -54,7 +54,7 @@ class CaseTag(Enum):
     P_COPRIME_TO_B = "p_coprime_to_b"
 
 
-@dataclass(frozen=True)
+@dataclass
 class CaseVerdict:
     """Outcome of one case test: passes=True means p does not divide the index."""
 

@@ -286,7 +286,7 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int], unlimited: bool) -
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             budget[0] -= 2 * r
@@ -298,7 +298,7 @@ def _brent_rho(n: int, rng: random.Random, budget: list[int], unlimited: bool) -
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g < n:
             return g
         # g == n: the cycle collapsed, retry with a fresh constant.

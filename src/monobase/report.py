@@ -69,7 +69,7 @@ _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 _SPLIT_MIN_PRIME = 311
 
 
-@dataclass(frozen=True)
+@dataclass
 class IrreducibilityStatus:
     status: str  # "irreducible" | "reducible" | "unverified"
     method: str | None = None
@@ -230,7 +230,7 @@ def irreducibility_check(
     return IrreducibilityStatus("unverified")
 
 
-@dataclass(frozen=True)
+@dataclass
 class PrimeVerdict:
     """Per-prime summary: case outcome plus index/field-disc valuations.
 
@@ -256,7 +256,7 @@ class PrimeVerdict:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class IndexStatus:
     kind: str  # "exact" | "lower_bound" | "unknown"
     value: int | None
@@ -265,7 +265,7 @@ class IndexStatus:
         return {"kind": self.kind, "value": self.value}
 
 
-@dataclass(frozen=True)
+@dataclass
 class AnalysisReport:
     spec: QuadrinomialSpec
     irreducibility: IrreducibilityStatus

@@ -19,6 +19,7 @@ from monobase import (
     factor_integer,
     irreducibility_check,
     quadrinomial_discriminant,
+    search_family,
 )
 from monobase import report
 from monobase.integer_core import EffortConfig, IntFactorization
@@ -362,6 +363,49 @@ def test_report_round_trips_through_json():
     assert blob["abs_disc_field"]["value"] == 2**6 * 83 * 1069
     assert blob["polynomial"] == "x^7 + 2*x^2 + 4*x + 2"
     assert {v["p"] for v in blob["primes"]} == {2, 3, 83, 1069}
+
+
+def test_results_are_built_per_call_and_not_shared():
+    # Result records are mutable, so no cache may hand the same one, or a
+    # dict inside it, to two callers.  The expected documents are literals,
+    # so a change made through a shared record shows.
+    expected = {
+        "spec": {"n": 3, "a": 2, "b": 4, "c": 2},
+        "polynomial": "x^3 + 2*x^2 + 4*x + 2",
+        "irreducibility": {"status": "irreducible", "method": "eisenstein", "detail": {"prime": 2}},
+        "disc_poly": -76,
+        "disc_poly_factorization": {"sign": -1, "factors": [[2, 2], [19, 1]], "cofactor": 1},
+        "primes": [
+            {"p": 2, "vp_disc_poly": 2, "case": "p_divides_a_and_c", "passes": True,
+             "witnesses": {}, "source": "theorem", "vp_index": 0, "vp_index_exact": True,
+             "vp_disc_field": 2},
+            {"p": 19, "vp_disc_poly": 1, "case": "p_coprime_to_b", "passes": True,
+             "witnesses": {"vp_disc": 1}, "source": "theorem", "vp_index": 0,
+             "vp_index_exact": True, "vp_disc_field": 1},
+        ],
+        "monogenic": "yes",
+        "index": {"kind": "exact", "value": 1},
+        "abs_disc_field": {"sign": 1, "factors": [[2, 2], [19, 1]], "cofactor": 1, "value": 76},
+        "caveats": [],
+    }
+    entry_doc = {
+        "c": 2, "skipped": False, "monogenic": "yes", "index": {"kind": "exact", "value": 1}
+    }
+    template = FamilyTemplate(3)
+    first, second = analyze(template.spec(2)), analyze(template.spec(2))
+    (entry,) = search_family(template, [2])
+    assert first == second == entry.report
+    first.irreducibility.detail["prime"] = 5
+    first.prime_verdicts[1].case.witnesses["vp_disc"] = 3
+    first.prime_verdicts[1].field_disc_valuation = None
+    entry.report.index.value = 7
+    entry.c = 5
+    assert first != second
+    assert second.to_dict() == expected
+    (fresh,) = search_family(template, [2])
+    assert fresh.to_dict() == entry_doc
+    assert fresh.report.to_dict() == expected
+    assert analyze(template.spec(2)).to_dict() == expected
 
 
 def test_cross_check_agrees_on_random_specs():

@@ -81,6 +81,35 @@ def test_the_dedekind_oracle_does_not_import_the_family_layers():
     assert found == []
 
 
+def test_validated_dataclasses_are_frozen():
+    # A __post_init__ that checks or normalises its fields holds only while
+    # nothing can assign them afterwards.  Result records may be mutable
+    # (they are built per call); validated values may not.
+    validated, unfrozen = [], []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                for item in node.body
+            ):
+                continue
+            for d in node.decorator_list:
+                call = d if isinstance(d, ast.Call) else None
+                target = call.func if call else d
+                if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                    continue
+                validated.append(node.name)
+                frozen = {k.arg: k.value for k in call.keywords}.get("frozen") if call else None
+                if not (isinstance(frozen, ast.Constant) and frozen.value is True):
+                    unfrozen.append(f"{path.name}:{node.lineno} {node.name}")
+    expected = {
+        "QuadrinomialSpec", "IntFactorization", "ZPoly", "FpPoly", "EffortConfig", "FamilyTemplate"
+    }
+    assert expected <= set(validated), validated
+    assert unfrozen == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
