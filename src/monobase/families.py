@@ -82,10 +82,8 @@ def search_family(
     are independent, so results do not depend on traversal order.
 
     c is factored once: the squarefree verdict is read off that
-    factorization, as squarefree_status reads it, and analyze gets it too.
-    So the irreducibility check does not factor c again, and when c has a
-    prime above 311 the discriminant is factored through its split
-    d**(n-1) * R, without finding c's primes again (see analyze).
+    factorization, as squarefree_status reads it, and analyze gets it too,
+    for its irreducibility check and its discriminant (see analyze).
     """
     out: list[SearchEntry] = []
     for c in c_values:

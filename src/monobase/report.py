@@ -20,10 +20,14 @@ single-segment Newton polygon conditions certify; a rational root refutes
 (a certified f has none, so the search waits until both have failed); an
 irreducible reduction mod p certifies; and factor degree patterns that admit
 no proper subset sum across several primes certify (optionally combined with
-the complete absence of rational roots to excuse degrees 1 and n-1).  Both
-mod-p certificates come from one deterministic squarefree plus distinct-degree
-pass per prime (degree_pattern_mod_p; the reduction is irreducible iff the
-pattern is [n]).  Degree patterns alone can never prove reducibility.
+the complete absence of rational roots to excuse degrees 1 and n-1).
+Eisenstein at p is the polygon with k = v_p(c0) = 1, so it is tried at every
+prime with k = 1 before the polygon at the other primes of c0.  The two
+read the one factorization of c0, so a prime that an effort bound leaves in
+its unfactored cofactor is not tried.  Both mod-p certificates come from one
+deterministic squarefree plus distinct-degree pass per prime
+(degree_pattern_mod_p; the reduction is irreducible iff the pattern is
+[n]).  Degree patterns alone can never prove reducibility.
 
 The constant term c is factored once per analysis, or not at all when the
 caller passes its factorization (search_family does, having factored c for
@@ -127,13 +131,9 @@ def _newton_polygon_certifies(f: ZPoly, p: int, k: int) -> bool:
     n = f.degree
     if gcd(k, n) != 1:
         return False
-    for i in range(1, n):
-        ci = f.coeff(i)
-        if ci == 0:
-            continue
-        v, _ = p_valuation(ci, p)
+    for i, ci in enumerate(f.coeffs[1:n], 1):
         # point (i, v) must not drop below the segment: v/(n-i) >= k/n
-        if v * n < k * (n - i):
+        if ci and p_valuation(ci, p)[0] * n < k * (n - i):
             return False
     return True
 
@@ -174,27 +174,14 @@ def irreducibility_check(
 
     c0_fac = factor_integer(c0, effort) if c0_factorization is None else c0_factorization
 
-    # Eisenstein: some prime divides every non-leading coefficient once at c0.
-    lower_gcd = 0
-    for c in f.coeffs[:-1]:
-        lower_gcd = gcd(lower_gcd, c)
-    if lower_gcd > 1:
-        # lower_gcd divides c0, so its primes are those of c0 that divide it.
-        # Below FULL_FACTOR_BOUND both factor completely, so reading them off
-        # c0_fac lists what factor_integer(lower_gcd) would.  Above it c0_fac
-        # may be incomplete, or complete only through rho, and lower_gcd is
-        # factored itself, unless it is |c0| (every pc spec).
-        if lower_gcd == abs(c0) or abs(c0) < FULL_FACTOR_BOUND:
-            lower_primes = [p for p, _ in c0_fac.factors if lower_gcd % p == 0]
-        else:
-            lower_primes = [p for p, _ in factor_integer(lower_gcd, effort).factors]
-        for p in lower_primes:
-            if c0 % (p * p) != 0:
-                return IrreducibilityStatus("irreducible", "eisenstein", {"prime": p})
-
-    # Newton polygon, one segment of slope -k/n with gcd(k, n) = 1.
+    # Newton polygon, one segment of slope -k/n with gcd(k, n) = 1.  At k = 1
+    # an inner point needs only v >= 1, which is Eisenstein's test; it is
+    # tried at every prime with k = 1 before the polygon at the others.
     for p, k in c0_fac.factors:
-        if _newton_polygon_certifies(f, p, k):
+        if k == 1 and _newton_polygon_certifies(f, p, 1):
+            return IrreducibilityStatus("irreducible", "eisenstein", {"prime": p})
+    for p, k in c0_fac.factors:
+        if k > 1 and _newton_polygon_certifies(f, p, k):
             return IrreducibilityStatus(
                 "irreducible", "newton_polygon", {"prime": p, "constant_valuation": k}
             )

@@ -6,6 +6,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from helpers import EXAMPLE_TRIO, random_specs, trio_spec
 from monobase import (
@@ -22,7 +23,7 @@ from monobase import (
     search_family,
 )
 from monobase import report
-from monobase.integer_core import EffortConfig, IntFactorization
+from monobase.integer_core import EffortConfig, IntFactorization, p_valuation
 
 
 def test_irreducibility_rational_root():
@@ -56,8 +57,9 @@ def test_irreducibility_factors_a_pc_constant_once(monkeypatch):
 
 
 def test_eisenstein_reads_the_gcd_primes_off_the_constant(monkeypatch):
-    # The lower coefficients 18, 12, 2 have gcd 2, neither 1 nor |c0|: its
-    # primes are read off the factorization of 18, not factored again.
+    # Eisenstein is the Newton polygon at a prime with v_p(c0) = 1, so its
+    # primes come off the one factorization of c0: the constant is factored
+    # once, and the gcd of the lower coefficients never.
     calls = []
 
     def counting(m, effort):
@@ -65,26 +67,75 @@ def test_eisenstein_reads_the_gcd_primes_off_the_constant(monkeypatch):
         return factor_integer(m, effort)
 
     monkeypatch.setattr(report, "factor_integer", counting)
+    # The lower coefficients 18, 12, 2 have gcd 2, neither 1 nor |c0|.
     res = irreducibility_check(QuadrinomialSpec(5, 2, 12, 18).polynomial())
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
     assert calls == [18]
 
-    # An incomplete factorization of c0 may miss primes of the gcd, which is
-    # then factored itself.  Here c0 = 18 * P * Q and the gcd is 2 * P * Q.
+    # An incomplete factorization of c0 = 18 * P * Q still lists 2 once.
     big = (2**89 - 1) * (2**107 - 1)
     calls.clear()
     low = EffortConfig(trial_division_bound=50, rho_iteration_budget=0)
     res = irreducibility_check(QuadrinomialSpec(5, 2 * big, 12 * big, 18 * big).polynomial(), low)
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
-    assert calls == [18 * big, 2 * big]
+    assert calls == [18 * big]
 
-    # From FULL_FACTOR_BOUND up the gcd is factored itself even when the
-    # factorization of c0 is complete, here c0 = 18 * P with P prime.
+    # A complete factorization from FULL_FACTOR_BOUND up, c0 = 18 * P with P
+    # prime.
     prime = 2**89 - 1
     calls.clear()
     res = irreducibility_check(QuadrinomialSpec(5, 2 * prime, 12 * prime, 18 * prime).polynomial())
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": 2})
-    assert calls == [18 * prime, 2 * prime]
+    assert calls == [18 * prime]
+
+    # A prime that hides in the unfactored cofactor of c0 is not found.
+    # x**n + 2q*x**2 + 2q*x + 4qr is Eisenstein at q, but at this effort
+    # c0 = 4qr factors as 2**2 times the cofactor q*r.  Degree patterns
+    # certify degrees 8 and 5, not 6; the default effort finds q.
+    q, r = 1099511627791, 2199023255579
+
+    def hidden(n):
+        return ZPoly((4 * q * r, 2 * q, 2 * q) + (0,) * (n - 3) + (1,))
+
+    calls.clear()
+    assert irreducibility_check(hidden(6), low).status == "unverified"
+    for n in (8, 5):
+        res = irreducibility_check(hidden(n), low)
+        assert (res.status, res.method) == ("irreducible", "factor_degree_patterns")
+    assert calls == [4 * q * r] * 3
+    for n in (6, 8, 5):
+        res = irreducibility_check(hidden(n))
+        assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": q})
+
+
+_EXPONENTS = st.sampled_from((0, 1, 1, 1, 2))
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.lists(st.tuples(_EXPONENTS, st.integers(-20, 20)), min_size=n, max_size=n)
+    ),
+)
+def test_eisenstein_is_the_newton_polygon_with_constant_valuation_one(p, terms):
+    # Each non-leading coefficient is m * p**e with e in {0, 1, 2}, so
+    # multiples of p, of p**2 and non-multiples all occur.
+    lower = tuple(m * p**e for e, m in terms)
+    assume(lower[0] != 0)
+    f = ZPoly(lower + (1,))
+
+    def textbook(q):
+        return all(c % q == 0 for c in lower) and lower[0] % (q * q) != 0
+
+    polygon = p_valuation(lower[0], p)[0] == 1 and report._newton_polygon_certifies(f, p, 1)
+    assert textbook(p) == polygon
+    # |c0| <= 20 * 7**2 factors completely, so every Eisenstein prime is seen.
+    eisenstein = [q for q, _ in factor_integer(lower[0]).factors if textbook(q)]
+    res = irreducibility_check(f)
+    if eisenstein:
+        assert (res.method, res.detail) == ("eisenstein", {"prime": eisenstein[0]})
+    else:
+        assert res.method != "eisenstein"
 
 
 @pytest.mark.parametrize(
