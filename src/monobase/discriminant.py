@@ -6,9 +6,8 @@ Under that constraint the discriminant collapses to a closed form:
 
 (b is forced even: b**2 = 4ac makes 4 | b**2).  The closed form is the fast
 route; discriminant_via_resultant is the independent slow route used to
-cross-check it.  With d = gcd(c, b/2), both terms are divisible by
-d**(n-1), so disc(f) = d**(n-1) * R; analyze factors R rather than disc(f)
-when that saves trial division (see report.py).
+cross-check it.  analyze strips the primes of c it already has off disc(f)
+and factors the rest, under the guards in report.py.
 
 double_root_divisibility_test decides p**2 | disc(f) without computing the
 discriminant, for primes p coprime to b*(n-2): f has a double root mod p**2

@@ -79,9 +79,6 @@ class ZPoly:
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
-    def coeff(self, i: int) -> int:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
     def __call__(self, x: int) -> int:
         v = 0
         for c in reversed(self.coeffs):

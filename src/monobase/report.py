@@ -32,14 +32,11 @@ deterministic squarefree plus distinct-degree pass per prime
 The constant term c is factored once per analysis, or not at all when the
 caller passes its factorization (search_family does, having factored c for
 its squarefree test): the certificates read it, and so does the discriminant.
-With d = gcd(c, b/2) the closed form splits as disc f = d**(n-1) * R, so
-v_p(disc f) = (n-1)*v_p(d) + v_p(R) and only R is factored from scratch.
-That route gives exactly factor_integer(disc f) when c's factorization is
-complete, every prime of c is at most the trial division bound, and
-|R| < FULL_FACTOR_BOUND: then both routes end complete.  It is taken when
-those hold and c has a prime above _SPLIT_MIN_PRIME, the last prime of trial
-division's first block, which the whole route would have to walk up to;
-otherwise disc f is factored whole.
+analyze strips the primes of c it already has off disc f and factors the
+rest, under these guards: c's factorization is complete, its largest prime
+lies in (_SPLIT_MIN_PRIME, trial division bound], and the rest is below
+FULL_FACTOR_BOUND; otherwise disc f is factored whole.  Either way the
+result is exactly factor_integer(disc f).
 """
 
 from __future__ import annotations
@@ -62,14 +59,14 @@ from .polynomials import ZPoly, degree_pattern_mod_p
 
 _MAX_ROOT_CANDIDATES = 4096
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-# The 64th prime, the last in trial division's first block.  Factoring R
-# rather than disc f pays only when c has a prime above it.  Paired timing of
-# the two routes per spec (min of 11 runs, 12,000 seed-5 search_pc specs,
-# 2-vCPU x86_64, CPython 3.11.7), by the largest prime of c: split / whole
-# 1.04-1.18 up to 41, 0.93-1.01 for 43-311, 0.90 for 313-719, 0.86 for
-# 727-1999 and 0.77 above; seed 41 reads 0.94-1.09, 0.94-1.02, 0.89, 0.90 and
-# 0.81.  On analyze_small specs, whose primes of c are at most 7, splitting
-# every time took 1.7% longer.
+# The 64th prime, the last in trial division's first block.  Stripping the
+# primes of c gains little unless c has a prime above it.  Paired timing of the
+# two routes per spec (min of 11 runs, 12,150 seed-5 search_pc specs, 2-vCPU
+# x86_64, CPython 3.11.7), median strip / whole by the largest prime of c:
+# 1.01 up to 41, 0.99 for 43-311, 0.93 for 313-719, 0.83 for 727-1999 and
+# 0.63 above; seed 41 reads 1.00, 0.98, 0.93, 0.83 and 0.64.  On 25,000
+# analyze_small specs, whose primes of c are at most 7, stripping every c was
+# slower in 8 of 11 alternating passes (median +0.2%).
 _SPLIT_MIN_PRIME = 311
 
 
@@ -296,15 +293,12 @@ def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int) -> PrimeVe
 
 
 def _factor_discriminant(
-    spec: QuadrinomialSpec, disc: int, effort: EffortConfig, c_fac: IntFactorization
+    disc: int, effort: EffortConfig, c_fac: IntFactorization
 ) -> IntFactorization:
-    """factor_integer(disc, effort), through disc = d**(n-1) * R with
-    d = gcd(c, b/2) under the conditions in the module docstring.
-
-    When c factors completely into primes up to the bound and
-    |R| < FULL_FACTOR_BOUND, R factors completely, and so does disc: trial
-    division strips every prime of d, and what is left divides R.  So both
-    routes give the unique factorization.
+    """factor_integer(disc, effort).  analyze strips the primes of c it
+    already has off disc f and factors the rest, under the same guards (see
+    the module docstring); the rest then factors completely, so both routes
+    give the unique factorization of disc.
     """
     if not (
         c_fac.is_complete
@@ -312,16 +306,15 @@ def _factor_discriminant(
         and _SPLIT_MIN_PRIME < c_fac.factors[-1][0] <= effort.trial_division_bound
     ):
         return factor_integer(disc, effort)
-    n = spec.n
-    d = gcd(spec.c, spec.b // 2)
-    r = disc // d ** (n - 1)  # exact: d**(n-1) divides both closed-form terms
-    if abs(r) >= FULL_FACTOR_BOUND:
-        return factor_integer(disc, effort)
-    exponents = dict(factor_integer(r, effort).factors)
-    # Every prime of c divides d: (b/2)**2 = ac, and d = |c| when b = 0.
+    rest = abs(disc)
+    factors = []
     for p, _ in c_fac.factors:
-        exponents[p] = exponents.get(p, 0) + (n - 1) * p_valuation(d, p)[0]
-    return IntFactorization(-1 if disc < 0 else 1, tuple(sorted(exponents.items())))
+        e, rest = p_valuation(rest, p)
+        factors.append((p, e))
+    if rest >= FULL_FACTOR_BOUND:
+        return factor_integer(disc, effort)
+    factors += factor_integer(rest, effort).factors
+    return IntFactorization(-1 if disc < 0 else 1, tuple(sorted(factors)))
 
 
 def analyze(
@@ -334,11 +327,10 @@ def analyze(
     c_factorization, if given, must be factor_integer(spec.c, effort) at the
     same effort; c is factored only when it is not given.  Only its value is
     checked (ValueError if it is another number).  Either way the one
-    factorization goes to irreducibility_check and to the discriminant, which
-    is factored through its closed form d**(n-1) * R, d = gcd(c, b/2), when c
-    factors completely into primes up to the trial division bound, one of
-    them above _SPLIT_MIN_PRIME = 311, and |R| < FULL_FACTOR_BOUND; and whole
-    otherwise.  The result is factor_integer(disc f, effort) either way.
+    factorization goes to irreducibility_check and to the discriminant:
+    analyze strips the primes of c it already has off disc f and factors the
+    rest, under the guards in the module docstring.  The result is
+    factor_integer(disc f, effort) either way.
     """
     c_fac = factor_integer(spec.c, effort) if c_factorization is None else c_factorization
     # irreducibility_check raises on a c_fac of another number before the
@@ -352,7 +344,7 @@ def analyze(
             "irreducibility unverified: verdicts assume the polynomial is irreducible"
         )
     disc = _nonzero_discriminant(spec)
-    fac = _factor_discriminant(spec, disc, effort, c_fac)
+    fac = _factor_discriminant(disc, effort, c_fac)
     if not fac.is_complete:
         caveats.append(
             f"discriminant factorization incomplete: composite cofactor {fac.cofactor}"

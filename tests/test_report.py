@@ -2,11 +2,10 @@
 
 import dataclasses
 import json
-import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import EXAMPLE_TRIO, random_specs, trio_spec
 from monobase import (
@@ -18,12 +17,13 @@ from monobase import (
     analyze,
     cross_check_with_dedekind,
     factor_integer,
+    generate_spec,
     irreducibility_check,
     quadrinomial_discriminant,
     search_family,
 )
-from monobase import report
-from monobase.integer_core import EffortConfig, IntFactorization, p_valuation
+from monobase import integer_core, report
+from monobase.integer_core import EffortConfig, IntFactorization, p_valuation, primes_up_to
 
 
 def test_irreducibility_rational_root():
@@ -296,7 +296,8 @@ def _disc_specs():
         for n, c in ((3, 2), (4, -3), (5, -72), (7, 1000003), (9, 10), (10, -1))
     ]
     # c = 1000003 is a prime above every bound here; the degree-22 and -20
-    # specs have |R| above FULL_FACTOR_BOUND.  These take the whole route.
+    # specs leave a rest of at least FULL_FACTOR_BOUND once the primes of c
+    # are stripped.  These take the whole route.
     whole = [
         FamilyTemplate(5).spec(1000003),
         QuadrinomialSpec(22, 42, 84, 42),
@@ -325,17 +326,17 @@ def test_analyze_factors_the_discriminant_as_factor_integer_does(effort):
         (FamilyTemplate(5).spec(99991), DEFAULT_EFFORT, True),
         (FamilyTemplate(7).spec(626), DEFAULT_EFFORT, True),
         (QuadrinomialSpec(5, 0, 0, 626), DEFAULT_EFFORT, True),
-        # d = 626 = 2 * 313 while c = 4 * 313: v_2(d) = 1, not v_2(c)
+        # c = 4 * 313: every factor 2 of disc f is stripped, not v_2(c) of them
         (QuadrinomialSpec(7, 313, 1252, 1252), DEFAULT_EFFORT, True),
         (QuadrinomialSpec(7, -313, 1252, -1252), _DISC_EFFORTS[2], True),
-        # every prime of c at most 311, so splitting saves nothing
+        # every prime of c at most 311, so stripping saves nothing
         (FamilyTemplate(7).spec(30), DEFAULT_EFFORT, False),
         (QuadrinomialSpec(6, 0, 0, -72), DEFAULT_EFFORT, False),
         (FamilyTemplate(7).spec(5), DEFAULT_EFFORT, False),
         # a prime of c above the bound
         (FamilyTemplate(5).spec(1000003), DEFAULT_EFFORT, False),
         (FamilyTemplate(7).spec(626), _DISC_EFFORTS[1], False),
-        # |R| >= FULL_FACTOR_BOUND
+        # the rest is at least FULL_FACTOR_BOUND
         (FamilyTemplate(20).spec(313), DEFAULT_EFFORT, False),
         # c's factorization incomplete
         (QuadrinomialSpec(5, 0, 0, (2**89 - 1) * (2**107 - 1)), _DISC_EFFORTS[1], False),
@@ -350,12 +351,83 @@ def test_analyze_factors_the_cofactor_or_the_whole_discriminant(monkeypatch, spe
 
     monkeypatch.setattr(report, "factor_integer", counting)
     rep = analyze(spec, effort)
-    d = math.gcd(spec.c, spec.b // 2)
     disc = rep.disc_poly
+    rest = abs(disc)
+    for p, _ in factor_integer(spec.c, effort).factors:
+        rest = p_valuation(rest, p)[1]
     assert calls[0] == spec.c
-    assert calls[-1] == (disc // d ** (spec.n - 1) if split else disc)
+    assert calls[-1] == (rest if split else disc)
     assert disc not in calls[:-1]
     assert rep.disc_poly_factorization == factor_integer(disc, effort)
+
+
+def test_every_prime_of_c_divides_the_discriminant_n_minus_1_times():
+    # The strip in _factor_discriminant takes this for granted: p | c gives
+    # p | b/2, since (b/2)**2 = ac, so p**(n-1) divides both closed-form terms.
+    rng = random.Random(26)
+
+    def signed_c():
+        return rng.choice((-1, 1)) * rng.randint(2, 10**4)
+
+    pc = [FamilyTemplate(rng.randint(3, 14)).spec(signed_c()) for _ in range(300)]
+    zero_b = [QuadrinomialSpec(rng.randint(3, 14), 0, 0, signed_c()) for _ in range(100)]
+    checked = 0
+    for spec in random_specs(26, 300, n_range=(3, 14), coeff_bound=40) + pc + zero_b:
+        disc = quadrinomial_discriminant(spec)
+        if disc == 0:
+            continue
+        for p, _ in factor_integer(spec.c).factors:
+            assert p_valuation(disc, p)[0] >= spec.n - 1, (spec, p)
+            checked += 1
+    assert checked >= 1000
+
+
+def test_split_min_prime_is_the_last_prime_of_the_first_trial_division_block():
+    primes = primes_up_to(DEFAULT_EFFORT.trial_division_bound)
+    assert report._SPLIT_MIN_PRIME == primes[integer_core._BLOCK_SIZE - 1]
+
+
+_nonzero = st.integers(-30, 30).filter(bool)
+_generated_specs = st.builds(
+    generate_spec,
+    _nonzero,
+    _nonzero,
+    st.integers(-30, 30),
+    st.integers(3, 14),
+)
+# squarefree |c| <= 10**4 takes the strip route whenever c has a prime above
+# _SPLIT_MIN_PRIME, and the whole route otherwise
+_pc_specs = st.builds(
+    lambda n, c: FamilyTemplate(n).spec(c),
+    st.integers(3, 12),
+    st.integers(-(10**4), 10**4).filter(
+        lambda c: abs(c) > 1 and all(c % (q * q) for q in range(2, 101))
+    ),
+)
+
+
+def _reflection_summary(spec):
+    try:
+        rep = analyze(spec)
+    except ReduciblePolynomialError:
+        return "reducible"
+    return (
+        rep.monogenic,
+        rep.index,
+        rep.abs_disc_field,
+        abs(rep.disc_poly),
+        rep.irreducibility.status,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_generated_specs, _pc_specs))
+def test_reflection_gives_the_same_field_and_order(spec):
+    # x -> -x (times -1 for odd n) maps theta to -theta: the same field and
+    # the same order Z[theta], so every field and index figure must agree.
+    n, a, b, c = spec.n, spec.a, spec.b, spec.c
+    mirror = QuadrinomialSpec(n, a, -b, c) if n % 2 == 0 else QuadrinomialSpec(n, -a, b, -c)
+    assert _reflection_summary(spec) == _reflection_summary(mirror)
 
 
 def test_a_factorization_of_another_number_is_refused():
