@@ -1,23 +1,26 @@
 """Exact integer arithmetic: primality, factorization, valuations, squarefreeness.
 
 Everything runs on Python's native arbitrary-precision ints.  Factorization is
-trial division up to a configurable bound followed by Brent-cycle Pollard rho
-on whatever composite survives.  Trial division takes the primes in blocks of
-_BLOCK_SIZE and the blocks in spans that double in length (block 0, then blocks
-[1, 2), [2, 4), [4, 8), ..., at most _MAX_SPAN_BLOCKS each), and takes one gcd
-with each span's product (Bernstein's batch trial division).  A gcd of 1 skips
-the whole span; a gcd below the span's smallest prime squared is one prime; only
-a gcd with several primes is split block by block.  So a number with no prime
-below the bound costs at most nine C-level gcds at the default bound rather
-than one per block of primes or one Python-level remainder per prime.  The
-primes and block products are built on first use and cached per bound, and each
-span product when a walk first reaches its span, so a process that factors only
-small numbers never builds the large ones.  A composite that is a perfect power
-r**k goes on as r, since rho cannot split the power of a large prime.  Below
-3.3e24, Miller-Rabin runs only as many of the bases 2, 3, 5, ..., 41 as the
-published bounds psi_k need for the input's size.  A factorization may be
-partial: the unfactored part is carried in a ``cofactor`` field (1 when
-complete) so callers can degrade gracefully instead of failing.
+one pass: trial division up to a configurable bound, then Brent-cycle Pollard
+rho on whatever composite survives.  Trial division takes the primes in blocks
+of _BLOCK_SIZE and the blocks in spans that double in length (block 0, then
+blocks [1, 2), [2, 4), [4, 8), ..., at most _MAX_SPAN_BLOCKS each), and takes
+one gcd with each span's product (Bernstein's batch trial division).  A gcd of
+1 skips the whole span; a gcd below the span's smallest prime squared is one
+prime; only a gcd with several primes is split block by block.  So a number
+with no prime below the bound costs at most nine C-level gcds at the default
+bound rather than one per block of primes or one Python-level remainder per
+prime.  The chain of gcds that strips a span's primes from the number also
+gives their exponents, so no prime up to the bound is divided into the number
+again.  The primes and block products are built on first use and cached per
+bound, and each span product when a walk first reaches its span, so a process
+that factors only small numbers never builds the large ones.  A composite that
+is a perfect power r**k goes on as r, since rho cannot split the power of a
+large prime.  Below 3.3e24, Miller-Rabin runs only as many of the bases 2, 3,
+5, ..., 41 as the published bounds psi_k need for the input's size.  A
+factorization may be partial: the unfactored part is carried in a
+``cofactor`` field (1 when complete) so callers can degrade gracefully
+instead of failing.
 
 Pollard rho draws from a generator seeded by the configured rng_seed and the
 input, and Miller-Rabin above 3.3e24 draws its bases from one seeded by
@@ -165,15 +168,17 @@ def _trial_division_table(bound: int) -> tuple[tuple[int, ...], tuple[int, ...],
     return primes, blocks, spans
 
 
-def _trial_divide(rest: int, bound: int, found: set[int]) -> int:
-    """Add to found every prime up to bound that divides rest, and return rest
-    without them.  Stops before the first span whose smallest prime squared
-    exceeds what is left, which is then 1 or a prime.
+def _trial_divide(rest: int, bound: int, factors: list[tuple[int, int]]) -> int:
+    """Append to factors, in increasing order, (p, e) for every prime p up to
+    bound with p**e exactly dividing rest, and return rest without them.
+    Stops before the first span whose smallest prime squared exceeds what is
+    left, which is then 1 or a prime.
 
     On reaching the span that starts at block _EARLY_PRIME_TEST_BLOCK with
     bound**2 <= rest < FULL_FACTOR_BOUND, tests rest for primality: a prime
-    rest goes into found and the walk returns 1, since no prime up to bound
-    divides it, which skips the largest spans.  A composite rest walks on."""
+    rest is appended as (rest, 1) and the walk returns 1, since no prime up to
+    bound divides it, which skips the largest spans.  A composite rest walks
+    on."""
     primes, blocks, spans = _trial_division_table(bound)
     for span in spans:
         first, stop, least_square, product = span
@@ -183,7 +188,7 @@ def _trial_divide(rest: int, bound: int, found: set[int]) -> int:
         # there, which takes a call or a second copy of the loop body.
         if first == _EARLY_PRIME_TEST_BLOCK and bound * bound <= rest < FULL_FACTOR_BOUND:
             if is_prime(rest):  # deterministic below FULL_FACTOR_BOUND
-                found.add(rest)
+                factors.append((rest, 1))
                 return 1
         if product is None:
             product = span[3] = _pairwise_product(blocks[first:stop])
@@ -191,15 +196,21 @@ def _trial_divide(rest: int, bound: int, found: set[int]) -> int:
         g = math.gcd(rest, product)
         if g == 1:
             continue
-        # Strip every prime of g, with multiplicity, from rest.
-        q = g
+        # Strip every prime of g, with multiplicity, from rest.  Each q after
+        # g is the product of g's primes that still divide rest, so a prime's
+        # exponent is 1 plus the number of leading qs in chain that it divides.
+        rest //= g
+        q = math.gcd(rest, g)
+        chain = []
         while q > 1:
+            chain.append(q)
             rest //= q
             q = math.gcd(rest, q)
         if g < least_square:
-            found.add(g)  # two primes of the span multiply to more
+            factors.append((g, len(chain) + 1))  # two primes of the span multiply to more
             continue
         # Find g's primes block by block, until none is left.
+        split = []
         for b in range(first, stop):
             gb = g if stop == first + 1 else math.gcd(g, blocks[b])
             if gb == 1:
@@ -212,12 +223,19 @@ def _trial_divide(rest: int, bound: int, found: set[int]) -> int:
                 if p * p > gb:
                     break
                 if gb % p == 0:
-                    found.add(p)
+                    split.append(p)
                     gb //= p
             if gb > 1:
-                found.add(gb)
+                split.append(gb)
             if g == 1:
                 break
+        for p in split:
+            e = 1
+            for q in chain:
+                if q % p:
+                    break
+                e += 1
+            factors.append((p, e))
     return rest
 
 
@@ -331,9 +349,12 @@ def _perfect_power_root(x: int, bound: int) -> int | None:
 class IntFactorization:
     """Signed factorization with an explicit unfactored cofactor.
 
-    value == sign * prod(p**e) * cofactor.  The listed primes are certified
-    prime and pairwise distinct; the cofactor (if > 1) is coprime to all of
-    them and carries no prime below the trial division bound used.
+    value == sign * prod(p**e) * cofactor.  The listed primes are pairwise
+    distinct.  Those below DETERMINISTIC_PRIME_BOUND (psi_13, about 3.3e24)
+    are proven prime; those above it are probable primes, which passed
+    _MR_ROUNDS = 64 seeded Miller-Rabin rounds (error at most 2**-128).  The
+    cofactor (if > 1) is coprime to all of them and carries no prime below the
+    trial division bound used.
     Construction checks, in this order: sign is +1 or -1, cofactor >= 1, the
     primes strictly increase, and every entry has p >= 2 and e >= 1.  It
     tests neither primality nor coprimality, which factor_integer ensures.
@@ -383,16 +404,19 @@ class IntFactorization:
 
 
 def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactorization:
-    """Factor m != 0 within the given effort bounds.
+    """Factor m != 0 within the given effort bounds, in one pass.
 
     Trial division walks the spans of _trial_division_table.  It stops before
     the first span whose smallest prime squared exceeds what is left, skips a
     span whose product is coprime to it, and otherwise strips the primes of
     that gcd and finds them, block by block unless the gcd is a single prime.
     This finds the same primes as one remainder per prime would, so the
-    result does not depend on the spans.  A composite cofactor above the bound
+    result does not depend on the spans, and each prime's exponent is read off
+    the gcds that stripped it.  A leftover of 1 ends the call and one below
+    the bound squared is a prime.  A composite leftover above the bound
     squared goes to Brent rho, except that a perfect power r**k (k prime) is
-    replaced by r first.
+    replaced by r first; the primes found there take their exponents from the
+    leftover.
 
     Complete (cofactor == 1) whenever |m| < FULL_FACTOR_BOUND; beyond that the
     rho iteration budget applies and a composite cofactor may remain.
@@ -401,19 +425,25 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
         raise ValueError("cannot factor 0")
     sign = -1 if m < 0 else 1
     n = abs(m)
-    found: set[int] = set()
-    rest = _trial_divide(n, effort.trial_division_bound, found)
+    bound = effort.trial_division_bound
+    factors: list[tuple[int, int]] = []
+    rest = _trial_divide(n, bound, factors)
     # rest has no prime up to the bound, or is below the next prime squared:
     # either way a piece below the bound squared is prime.
+    if rest < bound * bound:
+        if rest > 1:
+            factors.append((rest, 1))
+        return IntFactorization(sign=sign, factors=tuple(factors))
+    found: set[int] = set()
     rng = None
     budget = [effort.rho_iteration_budget]
-    stack = [rest] if rest > 1 else []
+    stack = [rest]
     while stack:
         x = stack.pop()
-        if x < effort.trial_division_bound**2 or is_prime(x):
+        if x < bound * bound or is_prime(x):
             found.add(x)
             continue
-        root = _perfect_power_root(x, effort.trial_division_bound)
+        root = _perfect_power_root(x, bound)
         if root is not None:
             stack.append(root)
             continue
@@ -422,15 +452,14 @@ def factor_integer(m: int, effort: EffortConfig = DEFAULT_EFFORT) -> IntFactoriz
         d = _brent_rho(x, rng, budget, unlimited=x < FULL_FACTOR_BOUND)
         if d is not None:
             stack.extend((d, x // d))
-    # Recompute exponents from n itself: what rho could not split is left in
-    # the cofactor, which stays coprime to every listed prime even when rho
-    # produced overlapping composite splits.
-    factors = []
-    rest = n
+    # Every prime found here exceeds the bound, and so every prime trial
+    # division listed, so appending them sorted keeps factors sorted.  Rho may
+    # split a piece into parts that share primes, so take the exponents from
+    # the leftover itself: what rho could not split stays in the cofactor,
+    # coprime to every listed prime.
     for p in sorted(found):
         e, rest = p_valuation(rest, p)
-        if e:
-            factors.append((p, e))
+        factors.append((p, e))
     return IntFactorization(sign=sign, factors=tuple(factors), cofactor=rest)
 
 

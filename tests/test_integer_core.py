@@ -18,10 +18,12 @@ from helpers import (
 from monobase import (
     EffortConfig,
     IntFactorization,
+    QuadrinomialSpec,
     SquarefreeStatus,
     factor_integer,
     is_prime,
     p_valuation,
+    quadrinomial_discriminant,
     squarefree_status,
 )
 from monobase import integer_core
@@ -269,6 +271,23 @@ def _block_edge_inputs(bound):
         yield -6 * q
         yield q * primes[-1] ** 2
     yield from (38891 * 1000003, 99991 * 1000003, 1000003 * 1000033)
+    # Strip chains: the exponents trial division reads off the chain of gcds
+    # that strips a span's primes, with multiplicity, from what is left.
+    yield 2**200
+    yield -(2**7) * 3**2 * blocks[0][-1] ** 4 * above
+    for block in blocks:
+        yield block[0] ** 7 * block[len(block) // 2] ** 2 * block[-1] ** 4
+        yield -block[0] ** 40 * block[-1] ** 3
+        yield block[0] ** 40 * block[-1] ** 3 * above
+    for left, right in zip(spans, spans[1:]):
+        yield left[-1] ** 40 * right[0] ** 3 * right[-1] ** 17
+    # Discriminants of x**n + c*(x + 1)**2, which hold c**(n - 1).
+    for c in (30, -30030, 6 * primes[-1], -blocks[0][0] * blocks[-1][-1] ** 2, 4993 * above):
+        for n in (3, 8, 12):
+            yield quadrinomial_discriminant(QuadrinomialSpec(n, c, 2 * c, c))
+    # The square of a prime above the bound times small primes.
+    yield above**2 * 2**9 * 3**4 * primes[-1]
+    yield -(above**2) * math.prod(primes[:5]) ** 3
     rng = random.Random(bound)
     for _ in range(40):
         yield rng.choice((1, -1)) * math.prod(
@@ -376,6 +395,33 @@ def test_a_prime_free_run_costs_one_gcd_per_span(monkeypatch):
     assert fac.factors == ((2, 1), (3, 1), (2**89 - 1, 1)) and fac.is_complete
     spans = _trial_division_table(DEFAULT_EFFORT.trial_division_bound)[2]
     assert len(calls) == len(spans) + 1 == 10
+
+
+def test_trial_division_exponents_cost_no_valuation(monkeypatch):
+    # Trial division reads each exponent off its strip chain.  Only the primes
+    # above the bound that factor_integer finds in the leftover take a
+    # p_valuation, and on the leftover.
+    original = integer_core.p_valuation
+    calls = []
+
+    def counting(m, p):
+        calls.append(p)
+        return original(m, p)
+
+    monkeypatch.setattr(integer_core, "p_valuation", counting)
+    for m, factors in (
+        (
+            30**11 * 11**2 * 23 * 353 * 419,
+            ((2, 11), (3, 11), (5, 11), (11, 2), (23, 1), (353, 1), (419, 1)),
+        ),
+        (2**200 * 311**40 * 313**3, ((2, 200), (311, 40), (313, 3))),
+    ):
+        fac = factor_integer(m)
+        assert fac.factors == factors and fac.is_complete
+        assert calls == []
+    fac = factor_integer(6 * 1000003 * 1000033)
+    assert fac.factors == ((2, 1), (3, 1), (1000003, 1), (1000033, 1)) and fac.is_complete
+    assert calls == [1000003, 1000033]
 
 
 def test_factor_integer_rejects_zero():

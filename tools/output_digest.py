@@ -13,8 +13,10 @@ fixed seed, runs one public entry point on each input, and hashes the
   oracle          cross_check_with_dedekind on the same kind of specs;
   irreducibility  irreducibility_check on generate_spec specs with n 3-12 and
                   on random monic polynomials of degree 2-12;
-  factor          factor_integer on random integers of up to 96 bits at rho
-                  budgets 0, 200 and 10**6.
+  factor          factor_integer at rho budgets 0, 200 and 10**6 on random
+                  integers of up to 96 bits, every second one times a product
+                  of trial-division prime powers with exponents up to 40 that
+                  holds the first and the last prime of a block of 64.
 
 --count sets the number of inputs per set (per kind of input for
 irreducibility, per budget for factor).  The script imports the `src/` of the
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -52,6 +55,7 @@ from monobase import (  # noqa: E402
     irreducibility_check,
     search_family,
 )
+from monobase.integer_core import primes_up_to  # noqa: E402
 
 _SEED = 20240305
 _NONZERO = [i for i in range(-9, 10) if i]
@@ -87,11 +91,32 @@ def _irreducibility_inputs(rng: random.Random, count: int) -> list:
     return polys
 
 
+# The primes of trial division at the default bound, which it takes in blocks
+# of _BLOCK.
+_PRIMES = primes_up_to(EffortConfig().trial_division_bound)
+_BLOCK = 64
+
+
+def _prime_powers(rng: random.Random) -> int:
+    """The first and last prime of a random block and up to four more primes,
+    from block 0 or from anywhere, each to a power up to 40."""
+    first = rng.randrange(0, len(_PRIMES), _BLOCK)
+    picks = {_PRIMES[first], _PRIMES[min(first + _BLOCK, len(_PRIMES)) - 1]}
+    for _ in range(rng.randint(0, 4)):
+        picks.add(rng.choice(_PRIMES[: rng.choice((_BLOCK, len(_PRIMES)))]))
+    return math.prod(p ** rng.randint(1, 40) for p in sorted(picks))
+
+
 def _factor_inputs(rng: random.Random, count: int) -> list:
     return [
-        (rng.choice((-1, 1)) * rng.randrange(1, 2 ** rng.randint(2, 96)), budget)
+        (
+            rng.choice((-1, 1))
+            * rng.randrange(1, 2 ** rng.randint(2, 96))
+            * (_prime_powers(rng) if i % 2 else 1),
+            budget,
+        )
         for budget in (0, 200, 10**6)
-        for _ in range(count)
+        for i in range(count)
     ]
 
 
