@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 for a decided result, 2 when the verdict is Unknown (an effort
-bound was hit), 1 for invalid input, usage errors included.  --json emits a
-single document with a schema_version field; the human-readable output
-carries the same facts.
+bound was hit), 1 for invalid input, usage errors included, and when the
+reader closes stdout early.  --json emits a single document with a
+schema_version field; the human-readable output carries the same facts.
 
 Only analyze, search and batch take the effort flags (--seed, default 1729;
 --trial-division-bound; --rho-budget).  oracle and selftest run at
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dedekind import dedekind_divides_index
@@ -345,9 +346,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except BrokenPipeError:
+        # `| head` closed stdout: the exit flush goes to devnull (Python docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INVALID
     finally:
         if has_limit:

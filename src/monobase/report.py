@@ -17,7 +17,8 @@ field; a failing one leaves only the bound v_p(index) >= 1.
 
 Irreducibility certificates, in the order tried: the Eisenstein or
 single-segment Newton polygon conditions certify; a rational root refutes
-(a certified f has none, so the search waits until both have failed); an
+(a certified f has none, so the search waits until both have failed; a
+candidate ±d, d | c0, is evaluated only if f(1) and f(-1) admit it); an
 irreducible reduction mod p certifies; and factor degree patterns that admit
 no proper subset sum across several primes certify (optionally combined with
 the complete absence of rational roots to excuse degrees 1 and n-1).
@@ -129,16 +130,18 @@ def _newton_polygon_certifies(f: ZPoly, p: int, k: int) -> bool:
     if gcd(k, n) != 1:
         return False
     for i, ci in enumerate(f.coeffs[1:n], 1):
-        # point (i, v) must not drop below the segment: v/(n-i) >= k/n
-        if ci and p_valuation(ci, p)[0] * n < k * (n - i):
+        # point (i, v) must not drop below the segment: v >= k(n-i)/n, which
+        # for an integer v is v >= ceil(k(n-i)/n); ci = 0 lies above it.
+        if ci % p ** -(-k * (n - i) // n):
             return False
     return True
 
 
-def _subset_sums(degrees: list[int]) -> set[int]:
-    sums = {0}
+def _subset_sums(degrees: list[int]) -> int:
+    """Bit s is set iff some sub-multiset of degrees sums to s."""
+    sums = 1
     for d in degrees:
-        sums |= {s + d for s in sums}
+        sums |= sums << d
     return sums
 
 
@@ -186,14 +189,19 @@ def irreducibility_check(
     divisors = _divisors_from(c0_fac)
     roots_complete = divisors is not None
     candidates = divisors if divisors is not None else [1] + [p for p, _ in c0_fac.factors]
-    for d in candidates:
-        for root in (d, -d):
-            if f(root) == 0:
-                return IrreducibilityStatus("reducible", "rational_root", {"root": root})
+    # An integer root r has r - 1 | f(1) and r + 1 | f(-1).  d = 1 comes
+    # first; its two values screen every later d before f(d) or f(-d) is taken.
+    f1, fm1 = f(1), f(-1)
+    if not f1 or not fm1:
+        return IrreducibilityStatus("reducible", "rational_root", {"root": 1 if not f1 else -1})
+    for d in candidates[1:]:
+        for r in (d, -d):
+            if not (f1 % (r - 1) or fm1 % (r + 1) or f(r)):
+                return IrreducibilityStatus("reducible", "rational_root", {"root": r})
 
     # Reductions mod small primes: an irreducible reduction certifies; else
-    # intersect the achievable proper factor degrees across primes.
-    allowed = set(range(1, n))
+    # intersect the bitmasks of achievable proper factor degrees across primes.
+    allowed = (1 << n) - 2
     used: list[int] = []
     for p in _PATTERN_PRIMES:
         pattern = degree_pattern_mod_p(f, p)
@@ -205,7 +213,7 @@ def irreducibility_check(
             return IrreducibilityStatus(
                 "irreducible", "factor_degree_patterns", {"primes": used}
             )
-        if roots_complete and allowed <= {1, n - 1}:
+        if roots_complete and not allowed & ~(2 | 1 << (n - 1)):
             return IrreducibilityStatus(
                 "irreducible",
                 "root_free_factor_degree_patterns",

@@ -1,5 +1,6 @@
 """Shared test utilities: seeded spec sampling and brute-force oracles."""
 
+import math
 import random
 import signal
 import sys
@@ -13,6 +14,7 @@ from monobase import (
     generate_spec,
     quadrinomial_discriminant,
 )
+from monobase.integer_core import p_valuation
 
 
 def random_specs(seed, count, n_range=(3, 9), coeff_bound=9):
@@ -280,3 +282,32 @@ def binomial_integral_basis(n, c):
         if e >= 2:
             return "not_monogenic", p
     return "monogenic", None
+
+
+def subset_sums_reference(degrees):
+    """The set of sums of every sub-multiset of degrees."""
+    sums = {0}
+    for d in degrees:
+        sums |= {s + d for s in sums}
+    return sums
+
+
+def polygon_reference(f, p, k):
+    """The single-segment Newton polygon test from (0, k) to (n, 0), point by
+    point: gcd(k, n) = 1 and every nonzero inner coefficient c_i has
+    v_p(c_i) / (n - i) >= k / n."""
+    n = f.degree
+    return math.gcd(k, n) == 1 and all(
+        ci == 0 or p_valuation(ci, p)[0] * n >= k * (n - i)
+        for i, ci in enumerate(f.coeffs[1:n], 1)
+    )
+
+
+def first_rational_root(f, candidates):
+    """The first of d, -d over candidates, in order, at which f vanishes,
+    evaluating f at each; None if there is none."""
+    for d in candidates:
+        for r in (d, -d):
+            if f(r) == 0:
+                return r
+    return None

@@ -504,6 +504,27 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     assert proc.stdout == run(capsys, *argv)[1]
 
 
+@pytest.mark.parametrize("c_bound, first_line", [
+    # About 2 KB of output: the reader is gone before it is flushed at exit.
+    (30, None),
+    # About 230 KB, more than a pipe holds: `| head -1`, print itself fails.
+    (3000, "c = -3000: skipped (c is divisible by 2**2)\n"),
+])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(c_bound, first_line):
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = ["search", "--n", "7", "--c-min", str(-c_bound), "--c-max", str(c_bound)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monobase.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    if first_line is not None:
+        assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (1, "")
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest")
     assert code == 0

@@ -24,7 +24,7 @@ def test_output_digest_is_deterministic():
         ("search", 30),
         ("analyze", 30),
         ("oracle", 30),
-        ("irreducibility", 60),
+        ("irreducibility", 90),
         ("factor", 90),
     ]
     assert all(len(sha) == 64 for _, _, sha in lines)

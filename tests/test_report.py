@@ -7,7 +7,14 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import EXAMPLE_TRIO, random_specs, trio_spec
+from helpers import (
+    EXAMPLE_TRIO,
+    first_rational_root,
+    polygon_reference,
+    random_specs,
+    subset_sums_reference,
+    trio_spec,
+)
 from monobase import (
     DEFAULT_EFFORT,
     FamilyTemplate,
@@ -154,6 +161,105 @@ def test_eisenstein_pc_spec_skips_the_root_search(monkeypatch, n, c, prime):
     res = irreducibility_check(FamilyTemplate(n).spec(c).polynomial())
     assert (res.status, res.method, res.detail) == ("irreducible", "eisenstein", {"prime": prime})
     assert calls == []
+
+
+@given(st.lists(st.integers(min_value=1, max_value=12), max_size=10))
+def test_subset_sums_bitmask_is_the_set_of_sub_multiset_sums(degrees):
+    expected = subset_sums_reference(degrees)
+    assert report._subset_sums(degrees) == sum(1 << s for s in expected)
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=2, max_value=12).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, 10), st.integers(-20, 20)), min_size=n - 1, max_size=n - 1
+        )
+    ),
+)
+def test_newton_polygon_remainders_match_valuations(p, k, terms):
+    # Inner coefficients m * p**e with e up to 10 fall on both sides of the
+    # segment for every k; the constant is p**k, so k = v_p(c0).
+    f = ZPoly((p**k,) + tuple(m * p**e for e, m in terms) + (1,))
+    assert report._newton_polygon_certifies(f, p, k) == polygon_reference(f, p, k)
+
+
+def _x_minus(r):
+    return ZPoly((-r, 1))
+
+
+@pytest.mark.parametrize(
+    "f, root",
+    [
+        # c0 = 12 lists its divisors 1, 3, 2, 6, 4, 12: 3 comes before 2.
+        (_x_minus(2) * _x_minus(3) * ZPoly((2, 0, 1)), 3),
+        (_x_minus(-2) * _x_minus(-3) * ZPoly((2, 0, 1)), -3),
+        (_x_minus(2) * _x_minus(-3) * ZPoly((-2, 0, 1)), -3),
+        # d is tried before -d.
+        (_x_minus(5) * _x_minus(-5) * ZPoly((1, 1, 1)), 5),
+        (_x_minus(1) * _x_minus(-1) * ZPoly((7, 0, 1)), 1),
+        (_x_minus(-1) * ZPoly((7, 0, 1)), -1),
+        (_x_minus(12) * ZPoly((-1, 1, 1)), 12),
+    ],
+)
+def test_planted_roots_are_named_in_divisor_order(f, root):
+    assert first_rational_root(f, report._divisors_from(factor_integer(f.constant))) == root
+    res = irreducibility_check(f)
+    assert (res.status, res.method, res.detail) == ("reducible", "rational_root", {"root": root})
+
+
+def test_screened_root_search_names_the_first_root_an_unscreened_scan_finds():
+    rng = random.Random(28)
+    for _ in range(1500):
+        r = rng.randint(-15, 15)
+        g = ZPoly(tuple(rng.randint(-12, 12) for _ in range(rng.randint(1, 8))) + (1,))
+        f = _x_minus(r) * g
+        if f.constant == 0:
+            continue
+        divisors = report._divisors_from(factor_integer(f.constant))
+        res = irreducibility_check(f)
+        # A reducible f can take no irreducibility certificate.
+        assert (res.status, res.method) == ("reducible", "rational_root")
+        assert res.detail == {"root": first_rational_root(f, divisors)}
+
+
+def test_root_search_evaluates_only_candidates_that_pass_the_screen(monkeypatch):
+    # Root-free specs: each reaching the search is evaluated at 1 and -1, then
+    # at each later candidate r with r - 1 | f(1) and r + 1 | f(-1).
+    polys = [s.polynomial() for s in random_specs(5, 600)]
+    polys = [f for f in polys if irreducibility_check(f).status != "reducible"]
+    searched = []
+    divisors_from = report._divisors_from
+
+    def listing(fac):
+        searched.append(divisors_from(fac))
+        return searched[-1]
+
+    evaluations = []
+    call = ZPoly.__call__
+
+    def counting(f, x):
+        evaluations.append(x)
+        return call(f, x)
+
+    monkeypatch.setattr(report, "_divisors_from", listing)
+    monkeypatch.setattr(ZPoly, "__call__", counting)
+    expected = 0
+    unscreened = 0
+    for f in polys:
+        before = len(searched)
+        irreducibility_check(f)
+        if len(searched) == before:
+            continue  # a polygon certificate came first
+        f1, fm1 = call(f, 1), call(f, -1)
+        expected += 2 + sum(
+            1 for d in searched[-1][1:] for r in (d, -d) if f1 % (r - 1) == 0 == fm1 % (r + 1)
+        )
+        unscreened += 2 * len(searched[-1])
+    assert len(searched) > 100
+    assert len(evaluations) == expected
+    assert len(evaluations) < unscreened / 3
 
 
 def test_irreducibility_newton_polygon():

@@ -11,8 +11,10 @@ fixed seed, runs one public entry point on each input, and hashes the
                   with n 3-12 and |c| <= 10000;
   analyze         analyze reports on generate_spec specs, n 3-10, |u|,|v|,|w| <= 9;
   oracle          cross_check_with_dedekind on the same kind of specs;
-  irreducibility  irreducibility_check on generate_spec specs with n 3-12 and
-                  on random monic polynomials of degree 2-12;
+  irreducibility  irreducibility_check on generate_spec specs with n 3-12, on
+                  random monic polynomials of degree 2-12, and on products
+                  (x - r)*g with |r| <= 12 and g random monic of degree 1-10,
+                  so the digest covers which root a refusal names;
   factor          factor_integer at rho budgets 0, 200 and 10**6 on random
                   integers of up to 96 bits, every second one times a product
                   of trial-division prime powers with exponents up to 40 that
@@ -88,6 +90,9 @@ def _irreducibility_inputs(rng: random.Random, count: int) -> list:
     for _ in range(count):
         lower = tuple(rng.randint(-30, 30) for _ in range(rng.randint(2, 12)))
         polys.append(ZPoly(lower + (1,)))
+    for _ in range(count):
+        lower = tuple(rng.randint(-30, 30) for _ in range(rng.randint(1, 10)))
+        polys.append(ZPoly((-rng.randint(-12, 12), 1)) * ZPoly(lower + (1,)))
     return polys
 
 
