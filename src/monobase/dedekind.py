@@ -59,7 +59,7 @@ def compute_M(f: ZPoly, p: int, factorization: FpPolyFactorization) -> FpPoly:
     return FpPoly(p, tuple(lifted))
 
 
-@dataclass(frozen=True)
+@dataclass
 class DedekindWitness:
     """Everything needed to audit a divides/not-divides verdict.
 

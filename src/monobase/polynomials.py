@@ -22,14 +22,17 @@ size of the coefficients, so an irreducibility sweep meets the same few
 thousand patterns again and again.  When f mod p is monic, the primality test
 of p runs inside the memoized pattern, so a hit skips it.
 
-Dedekind verdicts are memoized per (f mod p^2, p) in an LRU cache of
-_DEDEKIND_CACHE_SIZE = 2048 entries, about 140 bytes each and under 0.3 MiB
-when full.  The verdict depends on f only through f mod p^2: g and h are read
-off f mod p, and F = (f - g*h) / p mod p is then fixed by f mod p^2.  For
-x^n + a x^2 + b x + c the same small-p keys recur: in an oracle sweep of small
-specs about 41% of calls hit.  The checks on f and p < 2 run on every call;
-the primality test of p runs inside the memoized verdict, so it costs only
-on a miss and no entry is ever stored for a composite p.
+Dedekind's mod-p work is memoized per (f mod p, p) in an LRU cache of
+_DEDEKIND_CACHE_SIZE = 2048 entries, about 150 bytes each and under 0.3 MiB
+when full: the double root r when gcd(f, f') = x - r mod p, otherwise g*h and
+the parts that repeat.  Each call finishes mod p^2 on its own coefficients,
+which is one Horner pass or one short gcd.  For x^n + a x^2 + b x + c the
+same small-p reductions recur: in an oracle sweep of small specs, primes
+p <= 7 make 57% of the calls but meet only a few hundred reductions (some
+thousands of keys mod p^2), so a key on f mod p keeps them cached among the
+one-off keys of larger primes.  The checks on f and p < 2 run on every call; the primality
+test of p runs inside the memoized work, so it costs only on a miss and no
+entry is ever stored for a composite p.
 
 All arithmetic in F_p[x] lives in the _fp_* helpers on raw coefficient lists.
 FpPoly is only a result type: the factors and reductions that factor_mod_p
@@ -480,15 +483,16 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
     gcd(F mod p, g, h) has positive degree.  When gcd(f, f') mod p is linear,
     x - r, f has one double root r mod p and p divides the index iff
     f(r) = 0 mod p**2; otherwise g and h come from the squarefree
-    decomposition.  Either way there is no randomness and there are no x**p
-    powers.  Requires monic f of degree >= 1 and p prime.
-    The checks on f and p < 2 run on every call, before the memoized lookup;
-    p's primality is tested only on a miss.
+    decomposition, and gcd(g, h) is the product of the parts that repeat.
+    Either way there is no randomness and there are no x**p powers.
+    Requires monic f of degree >= 1 and p prime.
 
-    The verdict depends on f only through f mod p**2: g and h come from
-    f mod p, and then F mod p from f mod p**2.  So it is memoized per
-    (f mod p**2, p) in an LRU cache of _DEDEKIND_CACHE_SIZE = 2048 entries,
-    about 140 bytes each for degree 3-10 keys.
+    Everything but the last step depends on f only through f mod p, so that
+    mod-p work (r, or g*h and the repeated parts) is memoized per (f mod p, p)
+    in an LRU cache of _DEDEKIND_CACHE_SIZE = 2048 entries.  Every call then
+    finishes mod p**2 on its own coefficients: p**2 | f(r), or
+    gcd(F mod p, repeated parts).  The checks on f and p < 2 run on every
+    call, before the lookup; p's primality is tested only on a miss.
     """
     if not f.is_monic:
         raise ValueError("Dedekind criterion requires a monic polynomial")
@@ -496,36 +500,65 @@ def dedekind_gcd_mod_p(f: ZPoly, p: int) -> bool:
         raise ValueError("degree must be at least 1")
     if p < 2:
         raise ValueError(f"{p} is not prime")
-    pp = p * p
+    coeffs = f.coeffs
     # Keys are built from lists: tuple() of a generator allocates 10 slots and
     # shrinks in place, so each cached key would hold a larger block, and the
     # discarded ones pile up in CPython's per-length tuple free lists.
-    return _dedekind_verdict(tuple([c % pp for c in f.coeffs]), p)
+    work = _dedekind_mod_p(tuple([c % p for c in coeffs]), p)
+    if work is None:
+        return False
+    if type(work) is int:
+        # The lifts of g and h both vanish at the double root r mod p, so
+        # p*F(r) = f(r) mod p**2, and gcd(F, g, h) is nontrivial exactly when
+        # p**2 | f(r).
+        pp, v = p * p, 0
+        for c in reversed(coeffs):
+            v = (v * work + c) % pp
+        return not v
+    gh, repeated = work
+    F = []
+    for c, d in zip(coeffs, gh):
+        q, r = divmod(c - d, p)
+        if r:
+            raise ArithmeticError("f - g*h is not divisible by p: broken radical")
+        F.append(q % p)
+    # F = 0 mod p leaves repeated, a factor of positive degree.
+    return len(_fp_gcd(_fp_trim(F), repeated, p)) > 1
 
 
-# About 140 bytes per entry for degree 3-10 keys; see the module docstring.
+# About 150 bytes per entry for degree 3-10 keys; see the module docstring.
 _DEDEKIND_CACHE_SIZE = 2048
 
 
 @lru_cache(maxsize=_DEDEKIND_CACHE_SIZE)
-def _dedekind_verdict(key: tuple[int, ...], p: int) -> bool:
-    """Dedekind's gcd verdict for the monic f with f = key mod p**2.  Raises
-    ValueError for a composite p, so no entry is ever stored for one."""
+def _dedekind_mod_p(
+    key: tuple[int, ...], p: int
+) -> int | tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The mod-p part of Dedekind's criterion for the monic f with
+    f = key mod p: None when f mod p is squarefree (p never divides the index),
+    the root r when gcd(f, f') = x - r, and otherwise (g*h over Z, the product
+    of the parts that repeat).  Raises ValueError for a composite p, so no
+    entry is ever stored for one."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    fbar = [c % p for c in key]
-    h = _fp_gcd(fbar, _fp_deriv(fbar, p), p)  # fbar itself when f' = 0 mod p
+    fbar = list(key)
+    n = len(fbar) - 1
+    if n % p:
+        # n*f - x*f' = sum over i < n of (n - i)*c_i*x^i is n*f less a multiple
+        # of f', and n is a unit mod p: one pass over the coefficients stands
+        # in for the first division of Euclid's run on (f, f').
+        t = _fp_trim([(n - i) * c % p for i, c in enumerate(fbar[:n])])
+        h = _fp_gcd(_fp_deriv(fbar, p), t, p)
+    else:
+        h = _fp_gcd(fbar, _fp_deriv(fbar, p), p)  # fbar itself when f' = 0
+    if len(h) == 1:
+        return None
     if len(h) == 2:
         # An irreducible factor of multiplicity m adds its degree times m - 1
         # to gcd(f, f'), or times m when p | m.  So a linear gcd x - r means
         # f = (x - r)^2 * s mod p with s squarefree and prime to x - r, and
-        # p odd.  Then the lifts of g and h both vanish at r mod p, so
-        # p*F(r) = f(r) mod p^2, and gcd(F, g, h) is nontrivial exactly when
-        # p^2 | f(r).
-        r, pp, v = -h[0] % p, p * p, 0
-        for c in reversed(key):
-            v = (v * r + c) % pp
-        return not v
+        # p odd.
+        return -h[0] % p
     g = [1]
     # gcd(g, h) is the product of the parts that repeat: the parts are
     # squarefree, monic and pairwise coprime, and h is the product of each
@@ -536,21 +569,14 @@ def _dedekind_verdict(key: tuple[int, ...], p: int) -> bool:
         if mult > 1:
             repeated = _fp_mul(repeated, part, p)
     h = _fp_quo(fbar, g, p)
-    # f - g*h over Z: subtract the convolution of g and h from a copy of key
-    # (g and h are monic with h = f/g mod p, so g*h has the degree of f).
-    diff = list(key)
+    # g*h over Z (g and h are monic with h = f/g mod p, so g*h has the degree
+    # of f).
+    gh = [0] * len(fbar)
     for i, a in enumerate(g):
         if a:
             for j, b in enumerate(h, i):
-                diff[j] -= a * b
-    F = []
-    for coef in diff:
-        q, r = divmod(coef, p)
-        if r:
-            raise ArithmeticError("f - g*h is not divisible by p: broken radical")
-        F.append(q % p)
-    # repeated = 1 when f mod p is squarefree; F = 0 mod p leaves repeated.
-    return len(_fp_gcd(_fp_trim(F), repeated, p)) > 1
+                gh[j] += a * b
+    return tuple(gh), tuple(repeated)
 
 
 # About 310 bytes per entry for degree 3-10 reductions; see the module docstring.

@@ -20,7 +20,7 @@ from monobase import polynomials
 from monobase.polynomials import (
     _DEDEKIND_CACHE_SIZE,
     FpPolyFactorization,
-    _dedekind_verdict,
+    _dedekind_mod_p,
     dedekind_gcd_mod_p,
 )
 
@@ -163,7 +163,9 @@ def _lift(base, r, p, rng, vanish):
 
 
 def _verdict(f, p):
-    return _dedekind_verdict.__wrapped__(tuple(c % (p * p) for c in f.coeffs), p)
+    """The verdict from a fresh mod-p pass: no cached work is reused."""
+    _dedekind_mod_p.cache_clear()
+    return dedekind_gcd_mod_p(f, p)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -285,53 +287,117 @@ def test_keys_without_a_lone_double_root_skip_the_evaluation():
 
 
 def test_verdict_is_memoized_on_f_mod_p_squared():
-    # f and f + p^2*t share F mod p, so the second call is a hit; the
-    # factored form confirms the verdict for the shifted polynomial too.
-    _dedekind_verdict.cache_clear()
+    # f and f + p^2*t share f mod p, so the second call is a hit, and they
+    # share F mod p, so the verdict is the same; the factored form confirms
+    # it for the shifted polynomial too.
+    _dedekind_mod_p.cache_clear()
     f = ZPoly((2, 4, 2, 0, 0, 0, 0, 1))
     shifted = f + ZPoly((9,)) * ZPoly((5, -1, 7, 0, 3))
     assert dedekind_gcd_mod_p(f, 3)
     assert dedekind_gcd_mod_p(shifted, 3)
-    info = _dedekind_verdict.cache_info()
+    info = _dedekind_mod_p.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert factored_verdict(shifted, 3)[0]
 
 
+# f and f + p*t with opposite verdicts: (route, p, f, t).
+_OPPOSITE_LIFTS = [
+    ("linear gcd(f, f')", 3, ZPoly((0, 0, 1, 1)), ZPoly((1,))),  # x^2 (x + 1)
+    ("linear gcd(f, f')", 5, ZPoly((-2, 1)) ** 2 * ZPoly((1, 1)), ZPoly((1,))),
+    ("linear gcd(f, f')", 101, ZPoly((-7, 1)) ** 2 * ZPoly((3, 0, 1)), ZPoly((0, 1))),
+    ("squarefree pass", 2, ZPoly((0, 0, 1)), ZPoly((1,))),  # f' = 0 mod 2
+    ("squarefree pass", 3, ZPoly((0, 0, 0, 1)), ZPoly((1,))),  # f' = 0 mod 3
+    ("squarefree pass", 2, ZPoly((1, 1)) ** 3, ZPoly((1,))),  # cubed root, odd n = 3
+    ("squarefree pass", 3, ZPoly((-1, 1)) ** 3 * ZPoly((1, 1)), ZPoly((1,))),
+    ("squarefree pass", 2, ZPoly((1, 1, 1)) ** 2, ZPoly((1, 1))),  # quadratic squared
+]
+
+
+@pytest.mark.parametrize("route, p, f, t", _OPPOSITE_LIFTS)
+def test_lifts_that_agree_mod_p_get_their_own_verdicts(route, p, f, t):
+    # f and f + p*t share the cached mod-p work, yet F = (f - g*h)/p mod p
+    # differs, and so does the verdict: the cache must hold the work, not the
+    # verdict, and each call must finish mod p^2 on its own coefficients.
+    lifted = f + ZPoly((p,)) * t
+    assert _route(f, p) == _route(lifted, p) == route
+    _dedekind_mod_p.cache_clear()
+    verdicts = [dedekind_gcd_mod_p(f, p), dedekind_gcd_mod_p(lifted, p)]
+    info = _dedekind_mod_p.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert verdicts == [factored_verdict(f, p)[0], factored_verdict(lifted, p)[0]]
+    assert verdicts[0] != verdicts[1]
+
+
+def test_recurring_small_prime_reductions_survive_one_off_keys():
+    # The oracle's traffic: a few hundred reductions f mod p at p <= 7 recur,
+    # each time with another lift, among thousands of keys at larger primes
+    # that come once.  Each round visits every small reduction once and adds
+    # 800 one-off keys, so a reduction comes back after about 1,100 other
+    # keys, below the cache size, while the one-off keys alone exceed it.
+    rng = random.Random(29)
+    small = {}
+    while len(small) < 300:
+        p = rng.choice((2, 3, 5, 7))
+        fbar = tuple(rng.randrange(p) for _ in range(rng.randint(3, 8))) + (1,)
+        small[fbar, p] = None
+    small = list(small)
+    big = 65537
+    one_off = (ZPoly((1, i, 0, 1)) for i in range(4 * 800))
+    assert 4 * 800 > _DEDEKIND_CACHE_SIZE
+    _dedekind_mod_p.cache_clear()
+    missed = Counter()
+    for _ in range(4):
+        rng.shuffle(small)
+        for k, (fbar, p) in enumerate(small):
+            t = ZPoly(tuple(rng.randint(-50, 50) for _ in range(len(fbar) - 1)))
+            f = ZPoly(fbar) + ZPoly((p,)) * t
+            before = _dedekind_mod_p.cache_info().misses
+            assert dedekind_gcd_mod_p(f, p) == factored_verdict(f, p)[0], (f.coeffs, p)
+            missed[fbar, p] += _dedekind_mod_p.cache_info().misses - before
+            for _ in range(800 * (k + 1) // len(small) - 800 * k // len(small)):
+                dedekind_gcd_mod_p(next(one_off), big)
+    assert sorted(set(missed.values())) == [1]
+    assert _dedekind_mod_p.cache_info().misses == len(small) + 4 * 800
+
+
 def test_cached_verdict_matches_uncached_verdict():
-    # Each f is followed by f + p^2*t, a cache hit on f's entry.  Both must
-    # match the uncached computation on their full coefficients.
-    _dedekind_verdict.cache_clear()
+    # Each f is followed by f + p*t and f + p^2*t, cache hits on f's entry.
+    # Each must match the verdict from a fresh mod-p pass on its own
+    # coefficients.
     rng = random.Random(16)
     seen = Counter()
+    checks = []
     for kind, f, p in dedekind_pairs(77, 120 * len(DEDEKIND_PAIR_KINDS)):
         t = ZPoly(tuple(rng.randint(-9, 9) for _ in range(f.degree)))
-        shifted = f + ZPoly((p * p,)) * t
-        for poly in (f, shifted):
-            uncached = _dedekind_verdict.__wrapped__(poly.coeffs, p)
-            assert dedekind_gcd_mod_p(poly, p) == uncached, (kind, poly.coeffs, p)
+        polys = (f, f + ZPoly((p,)) * t, f + ZPoly((p * p,)) * t)
+        checks.append((kind, p, polys, [_verdict(poly, p) for poly in polys]))
         seen[kind, "p < 4" if p < 4 else "p > 2^32" if p > 2**32 else "other"] += 1
     assert set(k for k, _ in seen) == set(DEDEKIND_PAIR_KINDS)
     assert seen["frobenius", "p < 4"] == 120 and seen["large_p", "p > 2^32"] == 120
-    assert _dedekind_verdict.cache_info().hits >= 120 * len(DEDEKIND_PAIR_KINDS)
+    _dedekind_mod_p.cache_clear()
+    for kind, p, polys, uncached in checks:
+        cached = [dedekind_gcd_mod_p(poly, p) for poly in polys]
+        assert cached == uncached, (kind, polys[0].coeffs, p)
+    assert _dedekind_mod_p.cache_info().hits >= 2 * 120 * len(DEDEKIND_PAIR_KINDS)
 
 
 def test_input_checks_run_before_the_cache_lookup():
-    _dedekind_verdict.cache_clear()
-    # The prime test runs inside the memoized verdict, so a composite p
-    # raises there and never gets an entry that a later call could hit.
+    _dedekind_mod_p.cache_clear()
+    # The prime test runs inside the memoized work, so a composite p raises
+    # there and never gets an entry that a later call could hit.
     with pytest.raises(ValueError, match="^9 is not prime$"):
-        _dedekind_verdict((1, 1), 9)
-    assert _dedekind_verdict.cache_info().currsize == 0
-    _dedekind_verdict((1,), 2)
+        _dedekind_mod_p((1, 1), 9)
+    assert _dedekind_mod_p.cache_info().currsize == 0
+    _dedekind_mod_p((1,), 2)
     assert not dedekind_gcd_mod_p(ZPoly((1, 1)), 3)
     for f, p in (
         (ZPoly((1, 1)), 9),    # composite p
-        (ZPoly((1, 10)), 3),   # not monic, yet its key is (1, 1) mod 9
+        (ZPoly((1, 4)), 3),    # not monic, yet its key is (1, 1) mod 3
         (ZPoly((1,)), 2),      # degree 0
     ):
         with pytest.raises(ValueError):
             dedekind_gcd_mod_p(f, p)
-    assert _dedekind_verdict.cache_info().hits == 0
+    assert _dedekind_mod_p.cache_info().hits == 0
 
 
 def test_a_cache_hit_skips_the_prime_test(monkeypatch):
@@ -343,19 +409,19 @@ def test_a_cache_hit_skips_the_prime_test(monkeypatch):
         return original(n, *args, **kwargs)
 
     monkeypatch.setattr(polynomials, "is_prime", counting)
-    _dedekind_verdict.cache_clear()
+    _dedekind_mod_p.cache_clear()
     f = ZPoly((3, 0, 1, 1))
-    assert dedekind_gcd_mod_p(f, 101) == dedekind_gcd_mod_p(f, 101)
-    info = _dedekind_verdict.cache_info()
+    assert dedekind_gcd_mod_p(f, 101) == dedekind_gcd_mod_p(f + ZPoly((101,)), 101)
+    info = _dedekind_mod_p.cache_info()
     assert (info.misses, info.hits) == (1, 1)
     assert calls == [101]
 
 
 def test_verdict_cache_is_bounded():
-    _dedekind_verdict.cache_clear()
+    _dedekind_mod_p.cache_clear()
     for c in range(_DEDEKIND_CACHE_SIZE + 10):
-        dedekind_gcd_mod_p(ZPoly((c, 1)), 101)  # distinct keys below 101^2
-    info = _dedekind_verdict.cache_info()
+        dedekind_gcd_mod_p(ZPoly((c, 1)), 4099)  # distinct keys below 4099
+    info = _dedekind_mod_p.cache_info()
     assert info.maxsize == _DEDEKIND_CACHE_SIZE
     assert info.currsize == _DEDEKIND_CACHE_SIZE
     assert info.misses == _DEDEKIND_CACHE_SIZE + 10

@@ -24,6 +24,7 @@ def test_output_digest_is_deterministic():
         ("search", 30),
         ("analyze", 30),
         ("oracle", 30),
+        ("dedekind", 60),
         ("irreducibility", 90),
         ("factor", 90),
     ]

@@ -11,6 +11,11 @@ fixed seed, runs one public entry point on each input, and hashes the
                   with n 3-12 and |c| <= 10000;
   analyze         analyze reports on generate_spec specs, n 3-10, |u|,|v|,|w| <= 9;
   oracle          cross_check_with_dedekind on the same kind of specs;
+  dedekind        dedekind_divides_index verdicts: (p, verdict) at every prime
+                  of disc f on the oracle set's specs, and (p, verdict of f,
+                  verdict of f + p*t) on random monic f of degree 1-10, half
+                  of them with a planted double root, at p = 2, 3, 5, 7, 11
+                  and 4294967311, with t random of lower degree;
   irreducibility  irreducibility_check on generate_spec specs with n 3-12, on
                   random monic polynomials of degree 2-12, and on products
                   (x - r)*g with |r| <= 12 and g random monic of degree 1-10,
@@ -20,9 +25,9 @@ fixed seed, runs one public entry point on each input, and hashes the
                   of trial-division prime powers with exponents up to 40 that
                   holds the first and the last prime of a block of 64.
 
---count sets the number of inputs per set (per kind of input for
-irreducibility, per budget for factor).  The script imports the `src/` of the
-checkout it sits in, so two checkouts give two digests of the same inputs.
+--count sets the number of inputs per set (per kind of input for dedekind
+and irreducibility, per budget for factor).  The script imports the `src/` of
+the checkout it sits in, so two checkouts give two digests of the same inputs.
 To check that a change leaves every output as its parent commit had it:
 
     git worktree add ../parent HEAD~1
@@ -52,9 +57,11 @@ from monobase import (  # noqa: E402
     ZPoly,
     analyze,
     cross_check_with_dedekind,
+    dedekind_divides_index,
     factor_integer,
     generate_spec,
     irreducibility_check,
+    quadrinomial_discriminant,
     search_family,
 )
 from monobase.integer_core import primes_up_to  # noqa: E402
@@ -83,6 +90,35 @@ def _search(n_c) -> dict:
 
 def _spec_inputs(rng: random.Random, count: int) -> list:
     return [_small_spec(rng, 10) for _ in range(count)]
+
+
+# Small primes, where reductions recur, and one above 2**32.
+_DEDEKIND_PRIMES = (2, 3, 5, 7, 11, 4294967311)
+
+
+def _dedekind_inputs(rng: random.Random, count: int) -> list:
+    specs = _spec_inputs(random.Random(f"{_SEED}-oracle"), count)
+    polys = []
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        f = ZPoly(tuple(rng.randint(-30, 30) for _ in range(n)) + (1,))
+        if n > 1 and rng.random() < 0.5:
+            lower = tuple(rng.randint(-30, 30) for _ in range(n - 2))
+            f = ZPoly((-rng.randint(-12, 12), 1)) ** 2 * ZPoly(lower + (1,))
+        polys.append((f, ZPoly(tuple(rng.randint(-9, 9) for _ in range(n)))))
+    return specs + polys
+
+
+def _dedekind(item) -> list:
+    if not isinstance(item, tuple):
+        f = item.polynomial()
+        primes = [p for p, _ in factor_integer(quadrinomial_discriminant(item)).factors]
+        return [[p, dedekind_divides_index(f, p)[0]] for p in primes]
+    f, t = item
+    return [
+        [p, dedekind_divides_index(f, p)[0], dedekind_divides_index(f + ZPoly((p,)) * t, p)[0]]
+        for p in _DEDEKIND_PRIMES
+    ]
 
 
 def _irreducibility_inputs(rng: random.Random, count: int) -> list:
@@ -135,6 +171,7 @@ SETS = {
     "search": (_search_inputs, _search),
     "analyze": (_spec_inputs, lambda spec: analyze(spec).to_dict()),
     "oracle": (_spec_inputs, cross_check_with_dedekind),
+    "dedekind": (_dedekind_inputs, _dedekind),
     "irreducibility": (_irreducibility_inputs, lambda f: irreducibility_check(f).to_dict()),
     "factor": (_factor_inputs, _factor),
 }
