@@ -12,10 +12,10 @@ sits against a, b, c and runs that case's rule.
     otherwise (forces p = 2, 2 coprime to ac) -> P_IS_2_COPRIME_TO_AC
 
 A verdict has passes=True when p does NOT divide the index.  p must be prime
-and the discriminant passed in must be disc(f); neither is re-checked, since
-analyze and cross_check_with_dedekind pass certified primes of the
-discriminant they computed.  Then each case implies side conditions (each
-rule's docstring says why, with beta = b/2, beta**2 = ac and
+and e must be v_p(disc f) >= 1; neither is re-checked, since analyze and
+cross_check_with_dedekind read both off the factorization of disc f.  Then
+each case implies side conditions (each rule's docstring says why, with
+beta = b/2, beta**2 = ac and
 disc = +-(n**n (-c)**(n-1) - 4 (n-2)**(n-2) beta**n)); they are re-derived
 and raise ArithmeticError if one fails.  Nothing here calls the Dedekind
 criterion, the oracle these rules are checked against.
@@ -72,16 +72,17 @@ class CaseVerdict:
         }
 
 
-# Each rule below takes (spec, p, disc) for a prime p of its case and returns
-# (passes, witnesses).
+# Each rule below takes what it reads for a prime p of its case and returns
+# (passes, witnesses).  Given n, a verdict is a function of (a, b, c) mod p**2:
+# the residue-class test in tests/test_index_criteria.py relies on that.
 
 
-def _divides_a_and_c(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
+def _divides_a_and_c(spec: QuadrinomialSpec, p: int) -> tuple[bool, dict]:
     """p | a, p | c: the index stays coprime to p iff p**2 does not divide c."""
     return spec.c % (p * p) != 0, {}
 
 
-def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
+def _divides_a_only(spec: QuadrinomialSpec, p: int) -> tuple[bool, dict]:
     """p | a, p | b, p coprime to c.  Derived: p | n and p | c + (-c)**(p**r).
 
     p | beta (p | b, or v_2(beta**2) = v_2(a) for p = 2), so p | disc forces
@@ -104,7 +105,7 @@ def _divides_a_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, di
     return passes, {"r": r, "b1": b1, "c1": c1}
 
 
-def _divides_c_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
+def _divides_c_only(spec: QuadrinomialSpec, p: int) -> tuple[bool, dict]:
     """p | b, p | c, p coprime to a: p always divides the index.
 
     Derived: p**2 | c, as p coprime to a gives v_p(c) = 2*v_p(beta) >= 2.
@@ -121,7 +122,7 @@ def _divides_c_only(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, di
     return False, {"l": l, "vp_c": vc}
 
 
-def _two_coprime_to_ac(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
+def _two_coprime_to_ac(spec: QuadrinomialSpec) -> tuple[bool, dict]:
     """p = 2 with 2 | b and a, c odd.  Derived: 2 | n and v_2(b) = 1.
 
     beta**2 = ac is odd, so v_2(b) = 1, and then 2 | disc forces 2 | n.
@@ -134,47 +135,45 @@ def _two_coprime_to_ac(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool,
     return a % 4 == 1 or c % 4 == 1, {}
 
 
-def _coprime_to_b(spec: QuadrinomialSpec, p: int, disc: int) -> tuple[bool, dict]:
+def _coprime_to_b(spec: QuadrinomialSpec, p: int, e: int) -> tuple[bool, dict]:
     """p coprime to b.  Derived: p odd, coprime to a, c and n(n-2).
 
     Every b is even and p coprime to beta means p coprime to ac; p | n or
     p | n-2 would leave disc = -+4(-2)**(n-2) beta**n or +-2**n (-c)**(n-1)
-    mod p, both nonzero.  Here p divides the index iff p**2 divides disc(f);
-    the witness records v_p(disc).
+    mod p, both nonzero.  Here p divides the index iff e = v_p(disc f) >= 2;
+    the witness records e.
     """
     if p == 2:
         raise ArithmeticError("2 divides every admissible b")
     if (spec.n * (spec.n - 2)) % p == 0:
         raise ArithmeticError("expected p coprime to n(n-2)")
-    v, _ = p_valuation(disc, p)
-    return v < 2, {"vp_disc": v}
+    return e < 2, {"vp_disc": e}
 
 
-def prime_divides_index(spec: QuadrinomialSpec, p: int, discriminant: int) -> CaseVerdict:
+def prime_divides_index(spec: QuadrinomialSpec, p: int, e: int) -> CaseVerdict:
     """Verdict for one prime p dividing disc(f), from the rule of p's case.
 
-    p must be prime and discriminant must be disc(f); neither is re-checked.
-    A derived side condition that fails raises ArithmeticError.
+    p must be prime and e must be v_p(disc f); neither is re-checked, and
+    e < 1 raises ValueError.  A derived side condition that fails raises
+    ArithmeticError.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    if discriminant % p != 0:
+    if e < 1:
         raise ValueError(f"{p} does not divide the discriminant")
     a, b, c = spec.a, spec.b, spec.c
     if b % p != 0:
-        tag, rule = CaseTag.P_COPRIME_TO_B, _coprime_to_b
-    elif a % p == 0 and c % p == 0:
-        tag, rule = CaseTag.P_DIVIDES_A_AND_C, _divides_a_and_c
-    elif a % p == 0:
-        tag, rule = CaseTag.P_DIVIDES_A_ONLY, _divides_a_only
-    elif c % p == 0:
-        tag, rule = CaseTag.P_DIVIDES_C_ONLY, _divides_c_only
-    elif p == 2:
+        return CaseVerdict(CaseTag.P_COPRIME_TO_B, *_coprime_to_b(spec, p, e))
+    if a % p == 0 and c % p == 0:
+        return CaseVerdict(CaseTag.P_DIVIDES_A_AND_C, *_divides_a_and_c(spec, p))
+    if a % p == 0:
+        return CaseVerdict(CaseTag.P_DIVIDES_A_ONLY, *_divides_a_only(spec, p))
+    if c % p == 0:
+        return CaseVerdict(CaseTag.P_DIVIDES_C_ONLY, *_divides_c_only(spec, p))
+    if p == 2:
         # p | b, p coprime to a and c: b**2 = 4ac rules out odd p.
-        tag, rule = CaseTag.P_IS_2_COPRIME_TO_AC, _two_coprime_to_ac
-    else:
-        raise ArithmeticError("case split is not exhaustive: impossible residues")
-    return CaseVerdict(tag, *rule(spec, p, discriminant))
+        return CaseVerdict(CaseTag.P_IS_2_COPRIME_TO_AC, *_two_coprime_to_ac(spec))
+    raise ArithmeticError("case split is not exhaustive: impossible residues")
 
 
 @dataclass(frozen=True)

@@ -290,8 +290,8 @@ class AnalysisReport:
         return out
 
 
-def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int, disc: int) -> PrimeVerdict:
-    case = prime_divides_index(spec, p, disc)
+def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int) -> PrimeVerdict:
+    case = prime_divides_index(spec, p, e)
     if case.tag is CaseTag.P_COPRIME_TO_B:
         # v_p(index) = floor(e/2) and v_p(disc K) = e mod 2, pass or fail.
         return PrimeVerdict(p, e, case, e // 2, e % 2)
@@ -357,7 +357,7 @@ def analyze(
         caveats.append(
             f"discriminant factorization incomplete: composite cofactor {fac.cofactor}"
         )
-    verdicts = tuple(_prime_verdict(spec, p, e, disc) for p, e in fac.factors)
+    verdicts = tuple(_prime_verdict(spec, p, e) for p, e in fac.factors)
 
     failing = [v for v in verdicts if not v.case.passes]
     if failing:
@@ -410,8 +410,8 @@ def cross_check_with_dedekind(
     disc = _nonzero_discriminant(spec)
     f = spec.polynomial()
     bad = []
-    for p, _ in factor_integer(disc, effort).factors:
-        verdict = prime_divides_index(spec, p, disc)
+    for p, e in factor_integer(disc, effort).factors:
+        verdict = prime_divides_index(spec, p, e)
         divides, _ = dedekind_divides_index(f, p)
         if verdict.passes != (not divides):
             bad.append(p)

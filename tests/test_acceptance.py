@@ -24,6 +24,7 @@ from monobase import (
     double_root_divisibility_test,
     generate_spec,
     irreducibility_check,
+    p_valuation,
     prime_divides_index,
     quadrinomial_discriminant,
     search_family,
@@ -122,7 +123,7 @@ def test_case_rules_match_dedekind_oracle_at_scale():
         for p in primes:
             if disc % p != 0:
                 continue
-            verdict = prime_divides_index(spec, p, disc)
+            verdict = prime_divides_index(spec, p, p_valuation(disc, p)[0])
             if verdict.source != "theorem":
                 fallbacks += 1
             divides, _ = dedekind_divides_index(f, p)

@@ -13,10 +13,13 @@ from monobase import (
     analyze,
     dedekind_divides_index,
     factor_integer,
+    generate_spec,
+    p_valuation,
     prime_divides_index,
     quadrinomial_discriminant,
     shared_support_fastpath,
 )
+from monobase import index_criteria
 from monobase.integer_core import DEFAULT_EFFORT, EffortConfig
 
 # One prime in each case: (spec, p, tag).
@@ -30,7 +33,8 @@ CASE_FIXTURES = (
 
 
 def _verdict(spec, p):
-    return prime_divides_index(spec, p, quadrinomial_discriminant(spec))
+    e, _ = p_valuation(quadrinomial_discriminant(spec), p)
+    return prime_divides_index(spec, p, e)
 
 
 def test_case_tag_decision_order():
@@ -41,9 +45,9 @@ def test_case_tag_decision_order():
 def test_prime_divides_index_rejects_non_divisors():
     spec = QuadrinomialSpec(7, 2, 4, 2)
     with pytest.raises(ValueError):
-        _verdict(spec, 5)  # 5 does not divide disc
+        prime_divides_index(spec, 5, 0)  # 5 does not divide disc
     with pytest.raises(ValueError):
-        _verdict(spec, 1)
+        prime_divides_index(spec, 1, 1)
 
 
 def test_case_divides_a_and_c_rule():
@@ -106,10 +110,10 @@ def test_case_coprime_to_b_rule():
     spec = QuadrinomialSpec(7, 2, 4, 2)
     disc = quadrinomial_discriminant(spec)
     assert disc == -(2**6 * 3**2 * 83 * 1069)
-    v = prime_divides_index(spec, 3, disc)
+    v = prime_divides_index(spec, 3, 2)
     assert v.tag is CaseTag.P_COPRIME_TO_B and v.source == "theorem"
     assert not v.passes and v.witnesses["vp_disc"] == 2
-    v = prime_divides_index(spec, 83, disc)
+    v = prime_divides_index(spec, 83, 1)
     assert v.tag is CaseTag.P_COPRIME_TO_B
     assert v.passes and v.witnesses["vp_disc"] == 1
 
@@ -117,7 +121,7 @@ def test_case_coprime_to_b_rule():
 @pytest.mark.parametrize(
     "nabc, p, match",
     (
-        # prime p, but a discriminant argument that is not disc(f)
+        # prime p, but an e that is not v_p(disc f)
         ((7, 4, 4, 1), 2, r"expected p \| n"),
         ((5, 5, 10, 5), 2, r"expected 2 \| n"),
         ((7, 2, 4, 2), 7, r"coprime to n\(n-2\)"),
@@ -127,18 +131,18 @@ def test_case_coprime_to_b_rule():
     ),
 )
 def test_misuse_fails_a_derived_check(nabc, p, match):
-    # Outside the contract (p prime, discriminant = disc(f)) a derived side
+    # Outside the contract (p prime, e = v_p(disc f)) a derived side
     # condition fails and raises; nothing answers in its place.
     with pytest.raises(ArithmeticError, match=match):
-        prime_divides_index(QuadrinomialSpec(*nabc), p, p)
+        prime_divides_index(QuadrinomialSpec(*nabc), p, 1)
 
 
 def test_prime_divides_index_matches_dedekind_randomized():
     for spec in random_specs(404, 150, n_range=(3, 9), coeff_bound=9):
         disc = quadrinomial_discriminant(spec)
         f = spec.polynomial()
-        for p, _ in factor_integer(disc).factors:
-            verdict = prime_divides_index(spec, p, disc)
+        for p, e in factor_integer(disc).factors:
+            verdict = prime_divides_index(spec, p, e)
             assert verdict.source == "theorem"
             divides, _ = dedekind_divides_index(f, p)
             assert verdict.passes == (not divides), (spec, p)
@@ -148,9 +152,87 @@ def test_every_case_tag_reached_by_sampler():
     seen = set()
     for spec in random_specs(505, 250, n_range=(3, 9), coeff_bound=9):
         disc = quadrinomial_discriminant(spec)
-        for p, _ in factor_integer(disc).factors:
-            seen.add(prime_divides_index(spec, p, disc).tag)
+        for p, e in factor_integer(disc).factors:
+            seen.add(prime_divides_index(spec, p, e).tag)
     assert seen == set(CaseTag)
+
+
+def _class_lifts(p):
+    """One lift (u, v, w) per class of (a, b, c) = (u*w**2, 2uvw, u*v**2) mod p**2.
+
+    Every admissible (a, b, c) with c != 0 has this form with u, v != 0, and
+    its class depends only on (u, v, w) mod p**2, so u, v in 1..p**2 and w in
+    0..p**2-1 reach every class.
+    """
+    m = p * p
+    lifts = {}
+    for u in range(1, m + 1):
+        for v in range(1, m + 1):
+            for w in range(m):
+                lifts.setdefault((u * w * w % m, 2 * u * v * w % m, u * v * v % m), (u, v, w))
+    return list(lifts.values())
+
+
+def test_case_rules_match_dedekind_on_every_residue_class():
+    """Every class of (a, b, c) mod p**2, p in {2, 3, 5, 7}, n from 3 to 40.
+
+    For fixed p and n both sides are functions of the class, so one lift per
+    class checks them all.  Dedekind's verdict reads f mod p**2 (g and h from
+    f mod p, (f - g*h)/p mod p from f mod p**2).  disc f is an integer
+    polynomial in a, b, c, so disc f mod p**2 is a function of the class,
+    and with it p | disc f.  The case split reads a, b, c mod p.  Rule by
+    rule, besides n:
+      P_COPRIME_TO_B reads e = v_p(disc f) only as e >= 2, i.e. p**2 | disc f;
+      P_DIVIDES_A_AND_C reads c mod p**2;
+      P_DIVIDES_A_ONLY reads r = v_p(n), c mod p, b1 = b/p mod p (b mod p**2)
+        and c1 = (c + (-c)**(p**r))/p mod p, which is c mod p**2 since
+        c = c' mod p**2 gives (-c)**(p**r) = (-c')**(p**r) mod p**2;
+      P_DIVIDES_C_ONLY always fails, and its side condition reads c mod p**2;
+      P_IS_2_COPRIME_TO_AC reads a, b and c mod 4 = p**2.
+    Witnesses may differ between lifts of a class; verdicts may not.  A lift
+    with disc f = 0 is moved by p**2 in u: disc f is u**(n-1) times a
+    polynomial of degree at most 1 in u that is nonzero at u = 0, so the
+    moved lift has disc f != 0.
+    """
+    checked = 0
+    seen = set()
+    for p in (2, 3, 5, 7):
+        lifts = _class_lifts(p)
+        for n in range(3, 41):
+            for u, v, w in lifts:
+                spec = generate_spec(u, v, w, n)
+                disc = quadrinomial_discriminant(spec)
+                if disc == 0:
+                    spec = generate_spec(u + p * p, v, w, n)
+                    disc = quadrinomial_discriminant(spec)
+                if disc % p != 0:
+                    continue
+                verdict = prime_divides_index(spec, p, p_valuation(disc, p)[0])
+                divides, _ = dedekind_divides_index(spec.polynomial(), p)
+                assert verdict.passes == (not divides), (spec, p)
+                seen.add(verdict.tag)
+                checked += 1
+    assert checked == 32384
+    assert seen == set(CaseTag)
+
+
+def test_case_rules_read_no_valuation_of_disc_f(monkeypatch):
+    # analyze hands each prime its exponent from the factorization of disc f,
+    # so the case layer never takes v_p(disc f) itself.
+    spec = QuadrinomialSpec(7, 2, 4, 2)
+    disc = quadrinomial_discriminant(spec)
+    real = index_criteria.p_valuation
+    on_disc = []
+
+    def counting(m, p):
+        if abs(m) == abs(disc):
+            on_disc.append(p)
+        return real(m, p)
+
+    monkeypatch.setattr(index_criteria, "p_valuation", counting)
+    rep = analyze(spec)
+    assert [v.p for v in rep.prime_verdicts] == [2, 3, 83, 1069]
+    assert on_disc == []
 
 
 def _binomial(n, c, effort=DEFAULT_EFFORT):

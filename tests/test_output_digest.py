@@ -1,10 +1,13 @@
-"""tools/output_digest.py: one digest per seeded output set, the same every run."""
+"""tools/output_digest.py: one digest per seeded output set, the same every
+run and the same as the lines pinned in tests/data."""
 
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "output_digest.py"
+PINNED = ROOT / "tests" / "data" / "output_digest_30.txt"
 
 
 def test_output_digest_is_deterministic():
@@ -29,3 +32,6 @@ def test_output_digest_is_deterministic():
         ("factor", 90),
     ]
     assert all(len(sha) == 64 for _, _, sha in lines)
+    # An intended output change regenerates the pinned lines (see the
+    # script's docstring); any other change to them is a regression.
+    assert runs[0] == PINNED.read_text()

@@ -370,8 +370,8 @@ def test_analyze_raises_when_valuation_bookkeeping_breaks(monkeypatch):
     # |disc f|, and the check must raise whatever the interpreter's -O flag.
     real = report._prime_verdict
 
-    def shifted(spec, p, e, disc):
-        v = real(spec, p, e, disc)
+    def shifted(spec, p, e):
+        v = real(spec, p, e)
         if p != 7:
             return v
         return dataclasses.replace(v, field_disc_valuation=v.field_disc_valuation + 1)

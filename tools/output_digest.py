@@ -37,6 +37,14 @@ To check that a change leaves every output as its parent commit had it:
     python ../parent/tools/output_digest.py > parent.txt
     diff parent.txt change.txt && echo identical
     git worktree remove --force ../parent
+
+The lines at --count 30 and --count 500 are pinned in
+tests/data/output_digest_30.txt, which tests/test_output_digest.py compares,
+and tests/data/output_digest_500.txt, which CI diffs.  A change that means to
+alter an output regenerates both and commits them with the change:
+
+    python tools/output_digest.py --count 30 > tests/data/output_digest_30.txt
+    python tools/output_digest.py --count 500 > tests/data/output_digest_500.txt
 """
 
 from __future__ import annotations
