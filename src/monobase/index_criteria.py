@@ -20,6 +20,11 @@ disc = +-(n**n (-c)**(n-1) - 4 (n-2)**(n-2) beta**n)); they are re-derived
 and raise ArithmeticError if one fails.  Nothing here calls the Dedekind
 criterion, the oracle these rules are checked against.
 
+Valuations come from the parity of e: for p coprime to b the index always
+absorbs floor(e/2) and the field keeps e mod 2, whether or not p divides the
+index.  For p | b a passing prime contributes e entirely to the field; a
+failing one leaves only the bound v_p(index) >= 1.
+
 The p | a only rule works with exact derived integers
 
     r = v_p(n),   b1 = b/p,   c1 = (c + (-c)**(p**r)) / p
@@ -31,7 +36,7 @@ which already decides the verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import gcd
 from typing import ClassVar
@@ -56,11 +61,17 @@ class CaseTag(Enum):
 
 @dataclass
 class CaseVerdict:
-    """Outcome of one case test: passes=True means p does not divide the index."""
+    """Outcome of one case test: passes=True means p does not divide the index.
+
+    index_valuation is exact when field_disc_valuation is known, and a lower
+    bound when field_disc_valuation is None.
+    """
 
     tag: CaseTag
     passes: bool
-    witnesses: dict[str, int] = field(default_factory=dict)
+    witnesses: dict[str, int]
+    index_valuation: int
+    field_disc_valuation: int | None
     source: ClassVar[str] = "theorem"
 
     def to_dict(self) -> dict:
@@ -69,6 +80,9 @@ class CaseVerdict:
             "passes": self.passes,
             "witnesses": dict(self.witnesses),
             "source": self.source,
+            "vp_index": self.index_valuation,
+            "vp_index_exact": self.field_disc_valuation is not None,
+            "vp_disc_field": self.field_disc_valuation,
         }
 
 
@@ -151,7 +165,8 @@ def _coprime_to_b(spec: QuadrinomialSpec, p: int, e: int) -> tuple[bool, dict]:
 
 
 def prime_divides_index(spec: QuadrinomialSpec, p: int, e: int) -> CaseVerdict:
-    """Verdict for one prime p dividing disc(f), from the rule of p's case.
+    """Verdict for one prime p dividing disc(f), from the rule of p's case,
+    with the valuations it implies (see the module docstring).
 
     p must be prime and e must be v_p(disc f); neither is re-checked, and
     e < 1 raises ValueError.  A derived side condition that fails raises
@@ -163,17 +178,23 @@ def prime_divides_index(spec: QuadrinomialSpec, p: int, e: int) -> CaseVerdict:
         raise ValueError(f"{p} does not divide the discriminant")
     a, b, c = spec.a, spec.b, spec.c
     if b % p != 0:
-        return CaseVerdict(CaseTag.P_COPRIME_TO_B, *_coprime_to_b(spec, p, e))
-    if a % p == 0 and c % p == 0:
-        return CaseVerdict(CaseTag.P_DIVIDES_A_AND_C, *_divides_a_and_c(spec, p))
-    if a % p == 0:
-        return CaseVerdict(CaseTag.P_DIVIDES_A_ONLY, *_divides_a_only(spec, p))
-    if c % p == 0:
-        return CaseVerdict(CaseTag.P_DIVIDES_C_ONLY, *_divides_c_only(spec, p))
-    if p == 2:
+        tag, (passes, witnesses) = CaseTag.P_COPRIME_TO_B, _coprime_to_b(spec, p, e)
+    elif a % p == 0 and c % p == 0:
+        tag, (passes, witnesses) = CaseTag.P_DIVIDES_A_AND_C, _divides_a_and_c(spec, p)
+    elif a % p == 0:
+        tag, (passes, witnesses) = CaseTag.P_DIVIDES_A_ONLY, _divides_a_only(spec, p)
+    elif c % p == 0:
+        tag, (passes, witnesses) = CaseTag.P_DIVIDES_C_ONLY, _divides_c_only(spec, p)
+    elif p == 2:
         # p | b, p coprime to a and c: b**2 = 4ac rules out odd p.
-        return CaseVerdict(CaseTag.P_IS_2_COPRIME_TO_AC, *_two_coprime_to_ac(spec))
-    raise ArithmeticError("case split is not exhaustive: impossible residues")
+        tag, (passes, witnesses) = CaseTag.P_IS_2_COPRIME_TO_AC, _two_coprime_to_ac(spec)
+    else:
+        raise ArithmeticError("case split is not exhaustive: impossible residues")
+    if tag is CaseTag.P_COPRIME_TO_B:
+        return CaseVerdict(tag, passes, witnesses, e // 2, e % 2)
+    if passes:
+        return CaseVerdict(tag, passes, witnesses, 0, e)
+    return CaseVerdict(tag, passes, witnesses, 1, None)
 
 
 @dataclass(frozen=True)

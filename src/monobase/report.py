@@ -10,11 +10,6 @@ prime divisor, and assembles:
   * |disc K| as a factored integer when the index is exact, which pins
     down every valuation.
 
-Valuations come from the parity of v_p(disc f): for p coprime to b the index
-always absorbs floor(v/2) and the field keeps v mod 2, whether or not p
-divides the index.  For p | b a passing prime contributes v entirely to the
-field; a failing one leaves only the bound v_p(index) >= 1.
-
 Irreducibility certificates, in the order tried: the Eisenstein or
 single-segment Newton polygon conditions certify; a rational root refutes
 (a certified f has none, so the search waits until both have failed; a
@@ -35,7 +30,7 @@ caller passes its factorization (search_family does, having factored c for
 its squarefree test): the certificates read it, and so does the discriminant.
 analyze strips the primes of c it already has off disc f and factors the
 rest, under these guards: c's factorization is complete, its largest prime
-lies in (_SPLIT_MIN_PRIME, trial division bound], and the rest is below
+is at most the trial division bound, and the rest is below
 FULL_FACTOR_BOUND; otherwise disc f is factored whole.  Either way the
 result is exactly factor_integer(disc f).
 """
@@ -47,7 +42,7 @@ from math import gcd
 
 from .dedekind import dedekind_divides_index
 from .discriminant import QuadrinomialSpec, quadrinomial_discriminant
-from .index_criteria import CaseTag, CaseVerdict, prime_divides_index
+from .index_criteria import CaseVerdict, prime_divides_index
 from .integer_core import (
     DEFAULT_EFFORT,
     FULL_FACTOR_BOUND,
@@ -60,15 +55,6 @@ from .polynomials import ZPoly, degree_pattern_mod_p
 
 _MAX_ROOT_CANDIDATES = 4096
 _PATTERN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
-# The 64th prime, the last in trial division's first block.  Stripping the
-# primes of c gains little unless c has a prime above it.  Paired timing of the
-# two routes per spec (min of 11 runs, 12,150 seed-5 search_pc specs, 2-vCPU
-# x86_64, CPython 3.11.7), median strip / whole by the largest prime of c:
-# 1.01 up to 41, 0.99 for 43-311, 0.93 for 313-719, 0.83 for 727-1999 and
-# 0.63 above; seed 41 reads 1.00, 0.98, 0.93, 0.83 and 0.64.  On 25,000
-# analyze_small specs, whose primes of c are at most 7, stripping every c was
-# slower in 8 of 11 alternating passes (median +0.2%).
-_SPLIT_MIN_PRIME = 311
 
 
 @dataclass
@@ -224,28 +210,14 @@ def irreducibility_check(
 
 @dataclass
 class PrimeVerdict:
-    """Per-prime summary: case outcome plus index/field-disc valuations.
-
-    index_valuation is exact when field_disc_valuation is known; otherwise it
-    is a lower bound (>= 1 for a failing prime dividing b) and
-    field_disc_valuation is None.
-    """
+    """Per-prime summary: v_p(disc f) and the case outcome with its valuations."""
 
     p: int
     disc_poly_valuation: int
     case: CaseVerdict
-    index_valuation: int
-    field_disc_valuation: int | None
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "vp_disc_poly": self.disc_poly_valuation,
-            **self.case.to_dict(),
-            "vp_index": self.index_valuation,
-            "vp_index_exact": self.field_disc_valuation is not None,
-            "vp_disc_field": self.field_disc_valuation,
-        }
+        return {"p": self.p, "vp_disc_poly": self.disc_poly_valuation, **self.case.to_dict()}
 
 
 @dataclass
@@ -290,16 +262,6 @@ class AnalysisReport:
         return out
 
 
-def _prime_verdict(spec: QuadrinomialSpec, p: int, e: int) -> PrimeVerdict:
-    case = prime_divides_index(spec, p, e)
-    if case.tag is CaseTag.P_COPRIME_TO_B:
-        # v_p(index) = floor(e/2) and v_p(disc K) = e mod 2, pass or fail.
-        return PrimeVerdict(p, e, case, e // 2, e % 2)
-    if case.passes:
-        return PrimeVerdict(p, e, case, 0, e)
-    return PrimeVerdict(p, e, case, 1, None)
-
-
 def _factor_discriminant(
     disc: int, effort: EffortConfig, c_fac: IntFactorization
 ) -> IntFactorization:
@@ -311,7 +273,7 @@ def _factor_discriminant(
     if not (
         c_fac.is_complete
         and c_fac.factors
-        and _SPLIT_MIN_PRIME < c_fac.factors[-1][0] <= effort.trial_division_bound
+        and c_fac.factors[-1][0] <= effort.trial_division_bound
     ):
         return factor_integer(disc, effort)
     rest = abs(disc)
@@ -357,7 +319,7 @@ def analyze(
         caveats.append(
             f"discriminant factorization incomplete: composite cofactor {fac.cofactor}"
         )
-    verdicts = tuple(_prime_verdict(spec, p, e) for p, e in fac.factors)
+    verdicts = tuple(PrimeVerdict(p, e, prime_divides_index(spec, p, e)) for p, e in fac.factors)
 
     failing = [v for v in verdicts if not v.case.passes]
     if failing:
@@ -370,13 +332,15 @@ def analyze(
     index_value = 1
     exact = fac.is_complete
     for v in verdicts:
-        index_value *= v.p**v.index_valuation
-        exact = exact and v.field_disc_valuation is not None
+        index_value *= v.p**v.case.index_valuation
+        exact = exact and v.case.field_disc_valuation is not None
     abs_dk = None
     if exact:
         index = IndexStatus("exact", index_value)
         # An exact index pins every v_p(disc K); primes where it is 0 drop out.
-        pairs = tuple((v.p, v.field_disc_valuation) for v in verdicts if v.field_disc_valuation)
+        pairs = tuple(
+            (v.p, v.case.field_disc_valuation) for v in verdicts if v.case.field_disc_valuation
+        )
         abs_dk = IntFactorization(sign=1, factors=pairs, cofactor=1)
         # Consistency: disc f = index**2 * disc K up to the recorded valuations.
         if abs(disc) != index_value**2 * abs_dk.value:

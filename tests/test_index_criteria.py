@@ -189,8 +189,10 @@ def test_case_rules_match_dedekind_on_every_residue_class():
         c = c' mod p**2 gives (-c)**(p**r) = (-c')**(p**r) mod p**2;
       P_DIVIDES_C_ONLY always fails, and its side condition reads c mod p**2;
       P_IS_2_COPRIME_TO_AC reads a, b and c mod 4 = p**2.
-    Witnesses may differ between lifts of a class; verdicts may not.  A lift
-    with disc f = 0 is moved by p**2 in u: disc f is u**(n-1) times a
+    Witnesses and valuations may differ between lifts of a class; verdicts
+    may not.  Each lift also checks its valuations: p divides the index iff
+    v_p(index) >= 1, and an exact pair splits e as 2 v_p(index) + v_p(disc K).
+    A lift with disc f = 0 is moved by p**2 in u: disc f is u**(n-1) times a
     polynomial of degree at most 1 in u that is nonzero at u = 0, so the
     moved lift has disc f != 0.
     """
@@ -207,9 +209,14 @@ def test_case_rules_match_dedekind_on_every_residue_class():
                     disc = quadrinomial_discriminant(spec)
                 if disc % p != 0:
                     continue
-                verdict = prime_divides_index(spec, p, p_valuation(disc, p)[0])
+                e = p_valuation(disc, p)[0]
+                verdict = prime_divides_index(spec, p, e)
                 divides, _ = dedekind_divides_index(spec.polynomial(), p)
                 assert verdict.passes == (not divides), (spec, p)
+                assert (verdict.index_valuation >= 1) == divides, (spec, p)
+                if verdict.field_disc_valuation is not None:
+                    total = 2 * verdict.index_valuation + verdict.field_disc_valuation
+                    assert total == e, (spec, p)
                 seen.add(verdict.tag)
                 checked += 1
     assert checked == 32384

@@ -29,8 +29,8 @@ from monobase import (
     quadrinomial_discriminant,
     search_family,
 )
-from monobase import integer_core, report
-from monobase.integer_core import EffortConfig, IntFactorization, p_valuation, primes_up_to
+from monobase import report
+from monobase.integer_core import EffortConfig, IntFactorization, p_valuation
 
 
 def test_irreducibility_rational_root():
@@ -326,9 +326,9 @@ def test_analyze_per_prime_detail():
     assert sorted(by_p) == [2, 3, 83, 1069]
     assert by_p[2].case.passes and by_p[2].case.tag.value == "p_divides_a_and_c"
     assert not by_p[3].case.passes and by_p[3].case.tag.value == "p_coprime_to_b"
-    assert (by_p[3].index_valuation, by_p[3].to_dict()["vp_index_exact"]) == (1, True)
-    assert by_p[3].field_disc_valuation == 0
-    assert by_p[2].field_disc_valuation == 6
+    assert (by_p[3].case.index_valuation, by_p[3].to_dict()["vp_index_exact"]) == (1, True)
+    assert by_p[3].case.field_disc_valuation == 0
+    assert by_p[2].case.field_disc_valuation == 6
     assert all(v.case.source == "theorem" for v in rep.prime_verdicts)
 
 
@@ -368,7 +368,7 @@ def test_analyze_unverified_irreducibility_caveat():
 def test_analyze_raises_when_valuation_bookkeeping_breaks(monkeypatch):
     # Shift one field valuation: index**2 * |disc K| no longer equals
     # |disc f|, and the check must raise whatever the interpreter's -O flag.
-    real = report._prime_verdict
+    real = report.prime_divides_index
 
     def shifted(spec, p, e):
         v = real(spec, p, e)
@@ -378,7 +378,7 @@ def test_analyze_raises_when_valuation_bookkeeping_breaks(monkeypatch):
 
     spec = QuadrinomialSpec(7, 7, 14, 7)
     assert analyze(spec).index.kind == "exact"
-    monkeypatch.setattr(report, "_prime_verdict", shifted)
+    monkeypatch.setattr(report, "prime_divides_index", shifted)
     with pytest.raises(ArithmeticError, match="bookkeeping"):
         analyze(spec)
 
@@ -435,10 +435,10 @@ def test_analyze_factors_the_discriminant_as_factor_integer_does(effort):
         # c = 4 * 313: every factor 2 of disc f is stripped, not v_2(c) of them
         (QuadrinomialSpec(7, 313, 1252, 1252), DEFAULT_EFFORT, True),
         (QuadrinomialSpec(7, -313, 1252, -1252), _DISC_EFFORTS[2], True),
-        # every prime of c at most 311, so stripping saves nothing
-        (FamilyTemplate(7).spec(30), DEFAULT_EFFORT, False),
-        (QuadrinomialSpec(6, 0, 0, -72), DEFAULT_EFFORT, False),
-        (FamilyTemplate(7).spec(5), DEFAULT_EFFORT, False),
+        # small primes of c are stripped too
+        (FamilyTemplate(7).spec(30), DEFAULT_EFFORT, True),
+        (QuadrinomialSpec(6, 0, 0, -72), DEFAULT_EFFORT, True),
+        (FamilyTemplate(7).spec(5), DEFAULT_EFFORT, True),
         # a prime of c above the bound
         (FamilyTemplate(5).spec(1000003), DEFAULT_EFFORT, False),
         (FamilyTemplate(7).spec(626), _DISC_EFFORTS[1], False),
@@ -488,11 +488,6 @@ def test_every_prime_of_c_divides_the_discriminant_n_minus_1_times():
     assert checked >= 1000
 
 
-def test_split_min_prime_is_the_last_prime_of_the_first_trial_division_block():
-    primes = primes_up_to(DEFAULT_EFFORT.trial_division_bound)
-    assert report._SPLIT_MIN_PRIME == primes[integer_core._BLOCK_SIZE - 1]
-
-
 _nonzero = st.integers(-30, 30).filter(bool)
 _generated_specs = st.builds(
     generate_spec,
@@ -501,8 +496,8 @@ _generated_specs = st.builds(
     st.integers(-30, 30),
     st.integers(3, 14),
 )
-# squarefree |c| <= 10**4 takes the strip route whenever c has a prime above
-# _SPLIT_MIN_PRIME, and the whole route otherwise
+# squarefree |c| <= 10**4 factors completely below the trial division bound,
+# so every one takes the strip route
 _pc_specs = st.builds(
     lambda n, c: FamilyTemplate(n).spec(c),
     st.integers(3, 12),
@@ -574,7 +569,7 @@ def test_analyze_failing_divisor_of_b_leaves_lower_bound():
     assert rep.abs_disc_field is None
     v3 = next(v for v in rep.prime_verdicts if v.p == 3)
     assert not v3.to_dict()["vp_index_exact"]
-    assert v3.field_disc_valuation is None
+    assert v3.case.field_disc_valuation is None
 
 
 def test_analyze_field_disc_leaves_out_zero_valuations():
@@ -626,7 +621,7 @@ def test_results_are_built_per_call_and_not_shared():
     assert first == second == entry.report
     first.irreducibility.detail["prime"] = 5
     first.prime_verdicts[1].case.witnesses["vp_disc"] = 3
-    first.prime_verdicts[1].field_disc_valuation = None
+    first.prime_verdicts[1].case.field_disc_valuation = None
     entry.report.index.value = 7
     entry.c = 5
     assert first != second

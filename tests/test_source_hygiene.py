@@ -57,6 +57,21 @@ def test_case_rules_do_not_import_the_dedekind_oracle():
     assert [name for name in names if "dedekind" in name] == []
 
 
+def test_the_case_policy_lives_in_index_criteria():
+    # The case rules and the valuations they imply are decided in one module;
+    # report.py only assembles their verdicts, so it never names a case.
+    path = SOURCE / "report.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = [
+        f"report.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.alias) and node.name.split(".")[-1] == "CaseTag")
+        or (isinstance(node, ast.Name) and node.id == "CaseTag")
+        or (isinstance(node, ast.Attribute) and node.attr == "CaseTag")
+    ]
+    assert found == []
+
+
 def test_the_dedekind_oracle_does_not_import_the_family_layers():
     # The converse: the oracle must stay blind to the family it checks, so it
     # cannot borrow a case rule such as double_root_divisibility_test.
